@@ -30,8 +30,8 @@ stages (run exactly what is named, in the order given, deduplicated):
   core       all of: $CORE_STAGES
   fmt        cargo fmt --check
   clippy     cargo clippy, warnings denied
-  build      cargo build --release, whole workspace
-  test       cargo test, whole workspace
+  build      cargo build --release, whole workspace and perfbench
+  test       cargo test, whole workspace and perfbench
   docs       cargo doc, warnings denied
   features   feature-gated targets compile (proptest suite, criterion benches)
   smoke      bench binaries in --smoke mode (writes BENCH_*.smoke.json)
@@ -98,11 +98,17 @@ stage_clippy() {
 stage_build() {
   step "cargo build --release"
   cargo build --offline --release --workspace
+
+  step "cargo build --release (perfbench, a package of its own)"
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_test() {
   step "cargo test"
   cargo test --offline --workspace -q
+
+  step "cargo test (perfbench self-tests)"
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
 
 stage_docs() {

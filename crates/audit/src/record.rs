@@ -58,58 +58,57 @@ impl MonitorMode {
     }
 }
 
-/// Structured verdict, mirroring `cm_core::Verdict` without the
-/// dependency (cm-core sits *above* this crate).
+/// The monitor's judgement of one request (re-exported by cm-core as
+/// `cm_core::Verdict`): what the live monitor returns, the audit trail
+/// records, and replay re-derives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerdictCode {
     /// Contract satisfied (or correctly denied request).
     Pass,
-    /// Outside the behavioural model.
+    /// The URI/method is not part of the behavioural model; forwarded
+    /// unchecked.
     NotModelled,
-    /// Blocked by the enforce-mode pre-check.
+    /// Enforce mode: pre-condition failed, request blocked before the
+    /// cloud saw it.
     PreBlocked,
-    /// Unauthorized/disallowed request succeeded.
+    /// The pre-condition was false yet the cloud accepted — a wrong
+    /// authorization (privilege escalation) or missing functional check.
     WrongAcceptance,
-    /// Authorized request denied.
+    /// The pre-condition was true yet the cloud denied — an authorized
+    /// user was prevented from accessing the resource.
     WrongDenial,
-    /// Post-condition failed.
+    /// Pre passed and the cloud accepted, but the post-condition failed
+    /// (state not updated as specified).
     PostViolation,
-    /// Unexpected success status.
+    /// The cloud answered with an unexpected success code.
     WrongStatus {
-        /// Status the uniform interface specifies.
+        /// Code the uniform interface specifies for this method.
         expected: u16,
-        /// Status the cloud sent.
+        /// Code the cloud actually sent.
         actual: u16,
     },
-    /// Contract evaluation failed.
+    /// Contract evaluation itself failed (modelling/environment error).
     ContractError,
-    /// Transport prevented checking; explicitly not a violation.
+    /// The monitor could not *check* the request: the transport to the
+    /// cloud failed (snapshot probes undeliverable, or the forward
+    /// itself came back as a marked gateway fault). Explicitly not a
+    /// violation — the cloud's contract compliance was never observed.
+    /// The untestable security-requirement ids travel with the verdict,
+    /// preserving Table-I traceability.
     Degraded,
-    /// Anti-entropy reconciliation found the shadow replica diverged
-    /// from the cloud: out-of-band mutation bypassed the monitor. Not a
-    /// request violation — the monitored request itself was judged
-    /// separately.
+    /// An anti-entropy reconciliation pass found the cloud's state
+    /// diverged from the shadow replica: something mutated the cloud
+    /// **out of band**, bypassing the monitored path. Not a request
+    /// violation (the request it piggybacked on was judged separately)
+    /// but a detection the paper's probing monitor cannot make explicit.
     Drift,
 }
 
 impl VerdictCode {
-    /// The label `cm_core::Verdict::Display` renders for this verdict.
+    /// The verdict's label, e.g. `wrong-status(expected 204, got 200)`.
     #[must_use]
     pub fn label(&self) -> String {
-        match self {
-            VerdictCode::Pass => "pass".into(),
-            VerdictCode::NotModelled => "not-modelled".into(),
-            VerdictCode::PreBlocked => "pre-blocked".into(),
-            VerdictCode::WrongAcceptance => "wrong-acceptance".into(),
-            VerdictCode::WrongDenial => "wrong-denial".into(),
-            VerdictCode::PostViolation => "post-violation".into(),
-            VerdictCode::WrongStatus { expected, actual } => {
-                format!("wrong-status(expected {expected}, got {actual})")
-            }
-            VerdictCode::ContractError => "contract-error".into(),
-            VerdictCode::Degraded => "degraded".into(),
-            VerdictCode::Drift => "drift".into(),
-        }
+        self.to_string()
     }
 
     /// True for verdicts that indicate a fault in the cloud.
@@ -127,7 +126,20 @@ impl VerdictCode {
 
 impl fmt::Display for VerdictCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
+        match self {
+            VerdictCode::Pass => f.write_str("pass"),
+            VerdictCode::NotModelled => f.write_str("not-modelled"),
+            VerdictCode::PreBlocked => f.write_str("pre-blocked"),
+            VerdictCode::WrongAcceptance => f.write_str("wrong-acceptance"),
+            VerdictCode::WrongDenial => f.write_str("wrong-denial"),
+            VerdictCode::PostViolation => f.write_str("post-violation"),
+            VerdictCode::WrongStatus { expected, actual } => {
+                write!(f, "wrong-status(expected {expected}, got {actual})")
+            }
+            VerdictCode::ContractError => f.write_str("contract-error"),
+            VerdictCode::Degraded => f.write_str("degraded"),
+            VerdictCode::Drift => f.write_str("drift"),
+        }
     }
 }
 

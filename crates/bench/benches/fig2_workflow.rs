@@ -121,8 +121,8 @@ fn snapshot_policy_costs(c: &mut Criterion) {
     use cm_core::{CloudMonitor, SnapshotPolicy};
     use cm_model::{BehavioralModel, State, TransitionBuilder, Trigger};
 
-    // A model whose only contract references the `project` root: Minimal
-    // probing skips the volume/quota/user round-trips.
+    // A model whose only contract reads `project.id`: Scoped probing
+    // skips the volume/quota/user round-trips.
     fn project_only_model() -> BehavioralModel {
         let mut m = BehavioralModel::new("ProjectReads", "project", "exists");
         m.state(State::new(
@@ -142,10 +142,10 @@ fn snapshot_policy_costs(c: &mut Criterion) {
         m
     }
 
-    let mut group = c.benchmark_group("snapshot_policy_full_vs_minimal");
+    let mut group = c.benchmark_group("snapshot_policy_full_vs_scoped");
     for (name, policy) in [
         ("full", SnapshotPolicy::Full),
-        ("minimal", SnapshotPolicy::Minimal),
+        ("scoped", SnapshotPolicy::Scoped),
     ] {
         let base = baseline_harness();
         let token = base.tokens[0].1.clone();

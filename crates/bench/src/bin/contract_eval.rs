@@ -10,9 +10,9 @@
 //!   [`cm_contracts::CompiledContractSet`] programs with a reused
 //!   [`cm_ocl::EvalScratch`];
 //! * **full vs scoped snapshot** — the probe round-trips and wall-clock
-//!   of [`StateProber::snapshot_checked`] against
-//!   [`StateProber::snapshot_attrs`] driven by the compiled
-//!   `DELETE(volume)` pre-scope;
+//!   of [`StateProber::snapshot_with`] at [`ProbeScope::Full`] against
+//!   [`ProbeScope::Attrs`] driven by the compiled `DELETE(volume)`
+//!   pre-scope;
 //! * **replica vs scoped monitoring** — a full authorized request mix
 //!   through two monitors, one probing a scoped snapshot per request
 //!   and one binding the evaluation environment from the model-derived
@@ -28,7 +28,8 @@
 
 use cm_cloudsim::PrivateCloud;
 use cm_core::{
-    cinder_monitor_extended, CloudMonitor, Mode, ProbeTarget, SnapshotPolicy, StateProber,
+    cinder_monitor_extended, CloudMonitor, Mode, ProbeScope, ProbeTarget, SnapshotPolicy,
+    StateProber,
 };
 use cm_model::HttpMethod;
 use cm_ocl::{EnvView, EvalScratch};
@@ -306,7 +307,7 @@ fn main() {
     counting.hits.store(0, Ordering::Relaxed);
     let start = Instant::now();
     for _ in 0..snap_iters {
-        black_box(prober.snapshot_checked(&counting, &target));
+        black_box(prober.snapshot_with(&counting, &target, ProbeScope::Full));
     }
     let full_secs = start.elapsed().as_secs_f64();
     let full_probes = counting.hits.load(Ordering::Relaxed) / u64::from(snap_iters);
@@ -314,7 +315,7 @@ fn main() {
     counting.hits.store(0, Ordering::Relaxed);
     let start = Instant::now();
     for _ in 0..snap_iters {
-        black_box(prober.snapshot_attrs(&counting, &target, scope));
+        black_box(prober.snapshot_with(&counting, &target, ProbeScope::Attrs(scope)));
     }
     let scoped_secs = start.elapsed().as_secs_f64();
     let scoped_probes = counting.hits.load(Ordering::Relaxed) / u64::from(snap_iters);

@@ -5,8 +5,9 @@ use cm_cli::{
     cmd_mutate_campaign, cmd_rbac_lint, cmd_slice, cmd_table1, cmd_validate, parse_criterion,
     usage, CliError,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -136,193 +137,31 @@ fn run_inner(args: &[String]) -> Result<String, CliError> {
             let dir = it
                 .next()
                 .ok_or(CliError("codegen needs <out-dir>".into()))?;
-            let mut cloud_url = "http://127.0.0.1:8776".to_string();
             let rest: Vec<&str> = it.collect();
-            if let Some(pos) = rest.iter().position(|a| *a == "--cloud-url") {
-                cloud_url = rest
-                    .get(pos + 1)
-                    .ok_or(CliError("--cloud-url needs a value".into()))?
-                    .to_string();
-            }
-            cmd_codegen(name, Path::new(xmi), Path::new(dir), &cloud_url)
+            let cloud_url = flag_value(&rest, "--cloud-url")?.unwrap_or("http://127.0.0.1:8776");
+            cmd_codegen(name, Path::new(xmi), Path::new(dir), cloud_url)
         }
         Some("audit") => Ok(cmd_audit()),
         Some("serve") => {
             let rest: Vec<&str> = it.collect();
-            let mut port = 8000u16;
-            if let Some(pos) = rest.iter().position(|a| *a == "--port") {
-                port = rest
-                    .get(pos + 1)
-                    .and_then(|p| p.parse().ok())
-                    .ok_or(CliError("--port needs a number".into()))?;
-            }
-            let mut workers = cm_httpkit::ServerConfig::default().workers;
-            if let Some(pos) = rest.iter().position(|a| *a == "--workers") {
-                workers = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or(CliError("--workers needs a positive number".into()))?;
-            }
-            let mut keep_alive = true;
-            if let Some(pos) = rest.iter().position(|a| *a == "--keep-alive") {
-                keep_alive = match rest.get(pos + 1) {
-                    Some(&"on") => true,
-                    Some(&"off") => false,
-                    _ => return Err(CliError("--keep-alive needs on|off".into())),
-                };
-            }
-            let mut transport = cm_httpkit::ServerConfig::default().transport;
-            if let Some(pos) = rest.iter().position(|a| *a == "--transport") {
-                transport = match rest.get(pos + 1) {
-                    Some(&"reactor") => cm_httpkit::Transport::Reactor,
-                    Some(&"worker-pool") => cm_httpkit::Transport::WorkerPool,
-                    _ => return Err(CliError("--transport needs reactor|worker-pool".into())),
-                };
-            }
-            let mut speculative_reads = false;
-            if let Some(pos) = rest.iter().position(|a| *a == "--speculative-reads") {
-                speculative_reads = match rest.get(pos + 1) {
-                    Some(&"on") => true,
-                    Some(&"off") => false,
-                    _ => return Err(CliError("--speculative-reads needs on|off".into())),
-                };
-            }
-            let mut policy = cm_core::DegradedPolicy::FailClosed;
-            if let Some(pos) = rest.iter().position(|a| *a == "--degraded-policy") {
-                policy = cm_cli::parse_degraded_policy(
-                    rest.get(pos + 1)
-                        .ok_or(CliError("--degraded-policy needs a value".into()))?,
-                )?;
-            }
-            let mut snapshot_policy = cm_core::SnapshotPolicy::Full;
-            if let Some(pos) = rest.iter().position(|a| *a == "--snapshot-policy") {
-                snapshot_policy = cm_cli::parse_snapshot_policy(
-                    rest.get(pos + 1)
-                        .ok_or(CliError("--snapshot-policy needs a value".into()))?,
-                )?;
-            }
-            let mut anti_entropy_every = 0u64;
-            if let Some(pos) = rest.iter().position(|a| *a == "--anti-entropy-every") {
-                anti_entropy_every = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .ok_or(CliError("--anti-entropy-every needs a number".into()))?;
-            }
-            let mut identity_ttl = None;
-            if let Some(pos) = rest.iter().position(|a| *a == "--identity-ttl-secs") {
-                let secs: u64 = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .ok_or(CliError("--identity-ttl-secs needs a number".into()))?;
-                identity_ttl = Some(std::time::Duration::from_secs(secs));
-            }
-            let mut identity_cap = None;
-            if let Some(pos) = rest.iter().position(|a| *a == "--identity-cache-cap") {
-                identity_cap = Some(
-                    rest.get(pos + 1)
-                        .and_then(|n| n.parse().ok())
-                        .filter(|n| *n > 0)
-                        .ok_or(CliError(
-                            "--identity-cache-cap needs a positive number".into(),
-                        ))?,
-                );
-            }
-            let mut client_config = cm_httpkit::ClientConfig::default();
-            if let Some(pos) = rest.iter().position(|a| *a == "--request-deadline-ms") {
-                let ms: u64 = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or(CliError(
-                        "--request-deadline-ms needs a positive number".into(),
-                    ))?;
-                client_config.request_deadline = std::time::Duration::from_millis(ms);
-            }
-            if let Some(pos) = rest.iter().position(|a| *a == "--breaker-threshold") {
-                client_config.breaker_threshold = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .ok_or(CliError("--breaker-threshold needs a number".into()))?;
-            }
-            let mut overload = cm_httpkit::OverloadConfig::default();
-            if let Some(pos) = rest.iter().position(|a| *a == "--overload") {
-                overload.enabled = match rest.get(pos + 1) {
-                    Some(&"on") => true,
-                    Some(&"off") => false,
-                    _ => return Err(CliError("--overload needs on|off".into())),
-                };
-            }
-            if let Some(pos) = rest.iter().position(|a| *a == "--overload-deadline-ms") {
-                let ms: u64 = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or(CliError(
-                        "--overload-deadline-ms needs a positive number".into(),
-                    ))?;
-                overload.deadline = std::time::Duration::from_millis(ms);
-            }
-            if let Some(pos) = rest.iter().position(|a| *a == "--overload-queue-limit") {
-                overload.queue_limit = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or(CliError(
-                        "--overload-queue-limit needs a positive number".into(),
-                    ))?;
-            }
-            let mut audit_max_age = None;
-            if let Some(pos) = rest.iter().position(|a| *a == "--audit-max-age-secs") {
-                let secs: u64 = rest
-                    .get(pos + 1)
-                    .and_then(|n| n.parse().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or(CliError(
-                        "--audit-max-age-secs needs a positive number".into(),
-                    ))?;
-                audit_max_age = Some(std::time::Duration::from_secs(secs));
-            }
-            let audit_dir = flag_value(&rest, "--audit-dir")?.map(Path::new);
-            serve(
-                port,
-                rest.contains(&"--extended"),
-                workers,
-                keep_alive,
-                transport,
-                speculative_reads,
-                policy,
-                snapshot_policy,
-                anti_entropy_every,
-                identity_ttl,
-                identity_cap,
-                client_config,
-                audit_dir,
-                overload,
-                audit_max_age,
-            )
+            serve(parse_serve(&rest)?)
         }
         Some("metrics") => {
             let addr = it.next().ok_or(CliError("metrics needs <addr>".into()))?;
             let rest: Vec<&str> = it.collect();
-            let mut events_tail = None;
-            if let Some(pos) = rest.iter().position(|a| *a == "--events") {
-                events_tail = Some(
-                    rest.get(pos + 1)
-                        .and_then(|n| n.parse().ok())
-                        .ok_or(CliError("--events needs a number".into()))?,
-                );
-            }
+            let events_tail = flag_value(&rest, "--events")?
+                .map(|n| n.parse())
+                .transpose()
+                .map_err(|_| CliError("--events needs a number".into()))?;
             cmd_metrics(addr, events_tail, rest.contains(&"--health"))
         }
         Some(other) => Err(CliError(format!("unknown command `{other}`"))),
     }
 }
 
-/// Run the simulated private cloud with a generated monitor proxy in
-/// front, both over HTTP, until the process is killed.
-#[allow(clippy::too_many_arguments)]
-fn serve(
+/// Everything `cmcli serve` can be told: one field per flag.
+#[derive(Debug)]
+struct ServeConfig {
     port: u16,
     extended: bool,
     workers: usize,
@@ -332,13 +171,154 @@ fn serve(
     policy: cm_core::DegradedPolicy,
     snapshot_policy: cm_core::SnapshotPolicy,
     anti_entropy_every: u64,
-    identity_ttl: Option<std::time::Duration>,
+    identity_ttl: Option<Duration>,
     identity_cap: Option<usize>,
     client_config: cm_httpkit::ClientConfig,
-    audit_dir: Option<&Path>,
+    audit_dir: Option<PathBuf>,
     overload: cm_httpkit::OverloadConfig,
-    audit_max_age: Option<std::time::Duration>,
-) -> Result<String, CliError> {
+    audit_max_age: Option<Duration>,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        ServeConfig {
+            port: 8000,
+            extended: false,
+            workers: cm_httpkit::ServerConfig::default().workers,
+            keep_alive: true,
+            transport: cm_httpkit::ServerConfig::default().transport,
+            speculative_reads: false,
+            policy: cm_core::DegradedPolicy::FailClosed,
+            snapshot_policy: cm_core::SnapshotPolicy::Full,
+            anti_entropy_every: 0,
+            identity_ttl: None,
+            identity_cap: None,
+            client_config: cm_httpkit::ClientConfig::default(),
+            audit_dir: None,
+            overload: cm_httpkit::OverloadConfig::default(),
+            audit_max_age: None,
+        }
+    }
+}
+
+/// Parse a `serve` flag's value as a number.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
+    value
+        .parse()
+        .map_err(|_| CliError(format!("{flag} needs a number")))
+}
+
+/// Parse a `serve` flag's value as a number above zero.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(
+    flag: &str,
+    value: &str,
+) -> Result<T, CliError> {
+    value
+        .parse()
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| CliError(format!("{flag} needs a positive number")))
+}
+
+/// Parse a `serve` flag's `on|off` value.
+fn on_off(flag: &str, value: &str) -> Result<bool, CliError> {
+    match value {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        _ => Err(CliError(format!("{flag} needs on|off"))),
+    }
+}
+
+/// Sets one [`ServeConfig`] field from a flag's value.
+type ServeSetter = fn(&mut ServeConfig, &str, &str) -> Result<(), CliError>;
+
+/// Every `serve` flag that takes a value; `--extended` is the only
+/// switch. Anything else is rejected before the monitor binds.
+const SERVE_FLAGS: &[(&str, ServeSetter)] = &[
+    ("--port", |c, f, v| number(f, v).map(|n| c.port = n)),
+    ("--workers", |c, f, v| positive(f, v).map(|n| c.workers = n)),
+    ("--keep-alive", |c, f, v| {
+        on_off(f, v).map(|on| c.keep_alive = on)
+    }),
+    ("--transport", |c, _, v| {
+        c.transport = match v {
+            "reactor" => cm_httpkit::Transport::Reactor,
+            "worker-pool" => cm_httpkit::Transport::WorkerPool,
+            _ => return Err(CliError("--transport needs reactor|worker-pool".into())),
+        };
+        Ok(())
+    }),
+    ("--speculative-reads", |c, f, v| {
+        on_off(f, v).map(|on| c.speculative_reads = on)
+    }),
+    ("--degraded-policy", |c, _, v| {
+        cm_cli::parse_degraded_policy(v).map(|p| c.policy = p)
+    }),
+    ("--snapshot-policy", |c, _, v| {
+        cm_cli::parse_snapshot_policy(v).map(|p| c.snapshot_policy = p)
+    }),
+    ("--anti-entropy-every", |c, f, v| {
+        number(f, v).map(|n| c.anti_entropy_every = n)
+    }),
+    ("--identity-ttl-secs", |c, f, v| {
+        number(f, v).map(|s| c.identity_ttl = Some(Duration::from_secs(s)))
+    }),
+    ("--identity-cache-cap", |c, f, v| {
+        positive(f, v).map(|n| c.identity_cap = Some(n))
+    }),
+    ("--request-deadline-ms", |c, f, v| {
+        positive(f, v).map(|ms| c.client_config.request_deadline = Duration::from_millis(ms))
+    }),
+    ("--breaker-threshold", |c, f, v| {
+        number(f, v).map(|n| c.client_config.breaker_threshold = n)
+    }),
+    ("--overload", |c, f, v| {
+        on_off(f, v).map(|on| c.overload.enabled = on)
+    }),
+    ("--overload-deadline-ms", |c, f, v| {
+        positive(f, v).map(|ms| c.overload.deadline = Duration::from_millis(ms))
+    }),
+    ("--overload-queue-limit", |c, f, v| {
+        positive(f, v).map(|n| c.overload.queue_limit = n)
+    }),
+    ("--audit-dir", |c, _, v| {
+        c.audit_dir = Some(PathBuf::from(v));
+        Ok(())
+    }),
+    ("--audit-max-age-secs", |c, f, v| {
+        positive(f, v).map(|s| c.audit_max_age = Some(Duration::from_secs(s)))
+    }),
+];
+
+/// Parse `serve`'s arguments, rejecting unknown flags, stray arguments,
+/// and flags without a value.
+fn parse_serve(rest: &[&str]) -> Result<ServeConfig, CliError> {
+    let mut config = ServeConfig::default();
+    let mut i = 0;
+    while i < rest.len() {
+        let arg = rest[i];
+        if arg == "--extended" {
+            config.extended = true;
+            i += 1;
+            continue;
+        }
+        let Some((flag, set)) = SERVE_FLAGS.iter().find(|(flag, _)| *flag == arg) else {
+            return Err(CliError(if arg.starts_with("--") {
+                format!("unknown serve flag `{arg}`")
+            } else {
+                format!("unexpected serve argument `{arg}`")
+            }));
+        };
+        let value = flag_value(&rest[i..], flag)?.unwrap_or_default();
+        set(&mut config, flag, value)?;
+        i += 2;
+    }
+    Ok(config)
+}
+
+/// Run the simulated private cloud with a generated monitor proxy in
+/// front, both over HTTP, until the process is killed.
+fn serve(config: ServeConfig) -> Result<String, CliError> {
     use cm_cloudsim::PrivateCloud;
     use cm_core::{BrownoutConfig, BrownoutController, CloudMonitor};
     use cm_httpkit::{
@@ -349,6 +329,23 @@ fn serve(
     use cm_rest::SharedRestService;
     use std::sync::Arc;
 
+    let ServeConfig {
+        port,
+        extended,
+        workers,
+        keep_alive,
+        transport,
+        speculative_reads,
+        policy,
+        snapshot_policy,
+        anti_entropy_every,
+        identity_ttl,
+        identity_cap,
+        client_config,
+        audit_dir,
+        overload,
+        audit_max_age,
+    } = config;
     // Overload accounting and the brownout ladder are shared three
     // ways: the monitor-facing server's reactor shards write the
     // stats, the brownout controller reads them to move the ladder,
@@ -426,7 +423,7 @@ fn serve(
     }
     // The durable audit log shares the monitor's metrics registry so
     // group-commit latency and drop counts land in /-/metrics.
-    let audit_log = match audit_dir {
+    let audit_log = match &audit_dir {
         Some(dir) => {
             let (log, report) = cm_audit::AuditLog::open(
                 dir,

@@ -624,8 +624,7 @@ pub fn parse_degraded_policy(value: &str) -> Result<cm_core::DegradedPolicy, Cli
     }
 }
 
-/// Parse a `--snapshot-policy` value: `full`, `minimal`, `scoped`, or
-/// `replica`.
+/// Parse a `--snapshot-policy` value: `full`, `scoped`, or `replica`.
 ///
 /// # Errors
 ///
@@ -634,11 +633,10 @@ pub fn parse_snapshot_policy(value: &str) -> Result<cm_core::SnapshotPolicy, Cli
     use cm_core::SnapshotPolicy;
     match value {
         "full" => Ok(SnapshotPolicy::Full),
-        "minimal" => Ok(SnapshotPolicy::Minimal),
         "scoped" => Ok(SnapshotPolicy::Scoped),
         "replica" => Ok(SnapshotPolicy::Replica),
         other => Err(fail(format!(
-            "unknown snapshot policy `{other}` (expected full | minimal | scoped | replica)"
+            "unknown snapshot policy `{other}` (expected full | scoped | replica)"
         ))),
     }
 }
@@ -739,7 +737,7 @@ pub fn usage() -> &'static str {
                                               cannot be snapshotted (default\n\
                                               fail-closed; fail-open:N allows\n\
                                               at most N unchecked forwards)\n\
-             [--snapshot-policy full|minimal|scoped|replica]\n\
+             [--snapshot-policy full|scoped|replica]\n\
                                               how the OCL environment is\n\
                                               materialised (default full);\n\
                                               replica = model-derived shadow\n\

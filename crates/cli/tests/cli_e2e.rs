@@ -108,3 +108,55 @@ fn table1_binary_output() {
     assert!(text.contains("proj_administrator"));
     assert!(text.contains("\"volume:delete\": \"role:admin\""));
 }
+
+/// Run `cmcli serve` with `args`, which must be rejected: exit status 1
+/// before the monitor binds (a serve that started would run until
+/// killed). Returns stderr.
+fn serve_rejects(args: &[&str]) -> String {
+    let mut child = cmcli()
+        .arg("serve")
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().unwrap();
+            panic!("serve {args:?} started instead of failing");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "serve {args:?}: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !stdout.contains("cloud monitor"),
+        "serve {args:?} bound: {stdout}"
+    );
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn serve_rejects_an_unknown_flag_by_name() {
+    let err = serve_rejects(&["--port", "0", "--audit-dri", "/tmp/audit"]);
+    assert!(err.contains("unknown serve flag `--audit-dri`"), "{err}");
+}
+
+#[test]
+fn serve_rejects_a_flag_missing_its_value() {
+    let err = serve_rejects(&["--audit-dir", "--port", "0"]);
+    assert!(err.contains("--audit-dir needs a value"), "{err}");
+    let err = serve_rejects(&["--port", "0", "--workers"]);
+    assert!(err.contains("--workers needs a value"), "{err}");
+}
+
+#[test]
+fn serve_rejects_the_removed_minimal_snapshot_policy() {
+    let err = serve_rejects(&["--port", "0", "--snapshot-policy", "minimal"]);
+    assert!(
+        err.contains("unknown snapshot policy `minimal` (expected full | scoped | replica)"),
+        "{err}"
+    );
+}

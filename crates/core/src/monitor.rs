@@ -21,19 +21,20 @@
 //!   kills the Section VI-D mutants.
 
 use crate::coverage::CoverageTracker;
-use crate::probe::{ProbeTarget, StateProber};
+use crate::judge::{judge, merge_contracts, Case, Judgement, Observer, PostState};
+use crate::probe::{ProbeScope, ProbeTarget, Snapshot, StateProber};
 use crate::replica::{DriftEntry, ProjectReplica};
 use cm_audit::{
     AuditRecord, AuditRecorder, EnvProvenance, EnvSnapshot, MonitorMode, ReplayContext, VerdictCode,
 };
-use cm_contracts::{generate_with, CompiledContractSet, ContractSet, GenerateOptions};
+use cm_contracts::{CompiledContractSet, ContractSet, MethodContract};
 use cm_httpkit::ShedDecision;
 use cm_model::{BehavioralModel, HttpMethod, ResourceModel, Trigger};
 use cm_obs::{
     BrownoutSignal, EventSink, MetricsRegistry, MonitorEvent, OverloadStats, PhaseTimings,
     RingBufferSink, BROWNOUT_MAX_STEP,
 };
-use cm_ocl::{EnvView, EvalScratch};
+use cm_ocl::EvalScratch;
 use cm_rbac::SecurityRequirementsTable;
 use cm_rest::{
     Json, Resolution, RestRequest, RestResponse, RouteTable, SharedRestService, StatusCode,
@@ -81,8 +82,10 @@ struct ObsScratch {
     /// Capture replay environments? Set iff an audit recorder is
     /// attached — snapshot serialization is not free.
     audit: bool,
-    /// Branch taken, for the non-contract-checked paths.
-    ctx: Option<CtxSpecial>,
+    /// Replay context of the non-contract-checked branches; the
+    /// contract-checked path is reconstructed from the environment
+    /// captures instead.
+    ctx: Option<ReplayContext>,
     /// Serialized pre-state (contract-checked path, audit only).
     pre_env: Option<EnvSnapshot>,
     /// Serialized post-state, when one was observed completely.
@@ -115,21 +118,13 @@ struct DriftReport {
     requirements: Vec<String>,
 }
 
-/// The non-contract-checked branches of `process_inner`, recorded for
-/// replay; the contract-checked path is reconstructed from the
-/// environment captures instead.
-#[derive(Debug)]
-enum CtxSpecial {
-    Unmodelled,
-    MethodNotAllowed {
-        enforced: bool,
-    },
-    BadTarget,
-    DegradedPre {
-        forwarded: bool,
-        faults: Vec<String>,
-    },
-    DegradedForward,
+/// The project a `/{v3|compute}/{project_id}/…` path addresses, if any.
+fn path_project(path: &str) -> Option<u64> {
+    let mut segments = path.split('/').filter(|s| !s.is_empty());
+    match (segments.next(), segments.next()) {
+        (Some("v3" | "compute"), Some(pid)) => pid.parse().ok(),
+        _ => None,
+    }
 }
 
 /// Run `f`, adding its wall-clock duration to `slot`.
@@ -147,12 +142,9 @@ pub enum SnapshotPolicy {
     /// user) on every snapshot. Simplest; default.
     #[default]
     Full,
-    /// Probe only the roots the active contract actually navigates — the
-    /// paper's "only the values that constitute the guards and
-    /// invariants". Saves one REST round-trip per unreferenced root.
-    Minimal,
     /// Probe only the individual `(root, attribute)` pairs the compiled
-    /// contract's `pre()`/invariant analysis recorded, per phase: the
+    /// contract's `pre()`/invariant analysis recorded — the paper's "only
+    /// the values that constitute the guards and invariants" — per phase: the
     /// pre-phase snapshot additionally covers the post-condition's
     /// `pre()` reads, since it doubles as the post's pre-state. Falls
     /// back to whole-root probing when the analysis is inexact (`let`
@@ -171,18 +163,6 @@ pub enum SnapshotPolicy {
     Replica,
 }
 
-/// Which contract-evaluation pipeline runs on the wire path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalStrategy {
-    /// Compiled programs: interned symbols, hash-consed nodes, memoized
-    /// invariants, reusable per-shard scratch. Default.
-    #[default]
-    Compiled,
-    /// The tree-walking interpreter — kept as the reference oracle for
-    /// differential tests and A/B benchmarks.
-    Interpreter,
-}
-
 /// Monitoring mode; see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
@@ -193,102 +173,9 @@ pub enum Mode {
     Observe,
 }
 
-/// The monitor's judgement of one request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// Contract satisfied (or correctly denied request).
-    Pass,
-    /// The URI/method is not part of the behavioural model; forwarded
-    /// unchecked.
-    NotModelled,
-    /// Enforce mode: pre-condition failed, request blocked before the
-    /// cloud saw it.
-    PreBlocked,
-    /// The pre-condition was false yet the cloud accepted — a wrong
-    /// authorization (privilege escalation) or missing functional check.
-    WrongAcceptance,
-    /// The pre-condition was true yet the cloud denied — an authorized
-    /// user was prevented from accessing the resource.
-    WrongDenial,
-    /// Pre passed and the cloud accepted, but the post-condition failed
-    /// (state not updated as specified).
-    PostViolation,
-    /// The cloud answered with an unexpected success code.
-    WrongStatus {
-        /// Code the uniform interface specifies for this method.
-        expected: u16,
-        /// Code the cloud actually sent.
-        actual: u16,
-    },
-    /// Contract evaluation itself failed (modelling/environment error).
-    ContractError,
-    /// The monitor could not *check* the request: the transport to the
-    /// cloud failed (snapshot probes undeliverable, or the forward
-    /// itself came back as a marked gateway fault). Explicitly not a
-    /// violation — the cloud's contract compliance was never observed.
-    /// The untestable security-requirement ids travel in the outcome's
-    /// `requirements`, preserving Table-I traceability.
-    Degraded,
-    /// An anti-entropy reconciliation pass found the cloud's state
-    /// diverged from the shadow replica: something mutated the cloud
-    /// **out of band**, bypassing the monitored path. Not a request
-    /// violation (the request it piggybacked on was judged separately)
-    /// but a detection the paper's probing monitor cannot make explicit.
-    Drift,
-}
-
-impl Verdict {
-    /// True for verdicts that indicate a fault in the cloud implementation.
-    #[must_use]
-    pub fn is_violation(&self) -> bool {
-        matches!(
-            self,
-            Verdict::WrongAcceptance
-                | Verdict::WrongDenial
-                | Verdict::PostViolation
-                | Verdict::WrongStatus { .. }
-        )
-    }
-}
-
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Verdict::Pass => write!(f, "pass"),
-            Verdict::NotModelled => write!(f, "not-modelled"),
-            Verdict::PreBlocked => write!(f, "pre-blocked"),
-            Verdict::WrongAcceptance => write!(f, "wrong-acceptance"),
-            Verdict::WrongDenial => write!(f, "wrong-denial"),
-            Verdict::PostViolation => write!(f, "post-violation"),
-            Verdict::WrongStatus { expected, actual } => {
-                write!(f, "wrong-status(expected {expected}, got {actual})")
-            }
-            Verdict::ContractError => write!(f, "contract-error"),
-            Verdict::Degraded => write!(f, "degraded"),
-            Verdict::Drift => write!(f, "drift"),
-        }
-    }
-}
-
-impl From<&Verdict> for VerdictCode {
-    fn from(verdict: &Verdict) -> VerdictCode {
-        match verdict {
-            Verdict::Pass => VerdictCode::Pass,
-            Verdict::NotModelled => VerdictCode::NotModelled,
-            Verdict::PreBlocked => VerdictCode::PreBlocked,
-            Verdict::WrongAcceptance => VerdictCode::WrongAcceptance,
-            Verdict::WrongDenial => VerdictCode::WrongDenial,
-            Verdict::PostViolation => VerdictCode::PostViolation,
-            Verdict::WrongStatus { expected, actual } => VerdictCode::WrongStatus {
-                expected: *expected,
-                actual: *actual,
-            },
-            Verdict::ContractError => VerdictCode::ContractError,
-            Verdict::Degraded => VerdictCode::Degraded,
-            Verdict::Drift => VerdictCode::Drift,
-        }
-    }
-}
+/// The monitor's judgement of one request. It is the verdict code the
+/// audit trail records, so live monitoring and replay share one type.
+pub use cm_audit::VerdictCode as Verdict;
 
 /// What the monitor does when it cannot take a checked decision because
 /// the path to the cloud is sick (pre-snapshot probes undeliverable
@@ -538,7 +425,6 @@ pub struct CloudMonitor<S: SharedRestService> {
     compiled: CompiledContractSet,
     prober: StateProber,
     mode: Mode,
-    eval_strategy: EvalStrategy,
     snapshot_policy: SnapshotPolicy,
     /// Whether passing requests also report which model state the cloud
     /// is in afterwards (the paper's stateful view). State matching
@@ -629,46 +515,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         security: Option<&SecurityRequirementsTable>,
         cloud: S,
     ) -> Result<Self, MonitorBuildError> {
-        let contracts = generate_with(
-            behavior,
-            &GenerateOptions {
-                security,
-                simplify: false,
-            },
-        )
-        .map_err(|e| MonitorBuildError { message: e.message })?;
-        let coverage = CoverageTracker::new(&contracts.covered_requirements());
-        let compiled = CompiledContractSet::compile(&contracts);
-        let metrics = Arc::new(MetricsRegistry::new());
-        let prober = StateProber::default().identity_counter_handles(
-            metrics.identity.counter("hit"),
-            metrics.identity.counter("miss"),
-        );
-        Ok(CloudMonitor {
-            cloud,
-            routes: RouteTable::derive(resources, "/v3"),
-            contracts,
-            compiled,
-            prober,
-            mode: Mode::Enforce,
-            eval_strategy: EvalStrategy::Compiled,
-            snapshot_policy: SnapshotPolicy::Full,
-            report_states: true,
-            speculative_reads: false,
-            anti_entropy_every: 0,
-            degraded_policy: DegradedPolicy::FailClosed,
-            fail_open_used: AtomicU64::new(0),
-            monitor_token: String::new(),
-            monitor_project: None,
-            project_tokens: HashMap::new(),
-            log_shards: new_log_shards(),
-            seq: AtomicU64::new(0),
-            coverage,
-            metrics,
-            events: Arc::new(RingBufferSink::new(DEFAULT_EVENT_CAPACITY)),
-            audit: None,
-            brownout: None,
-        })
+        Self::generate_multi(resources, &[behavior], security, cloud)
     }
 
     /// Generate a monitor from one resource model and *several*
@@ -686,31 +533,9 @@ impl<S: SharedRestService> CloudMonitor<S> {
         security: Option<&SecurityRequirementsTable>,
         cloud: S,
     ) -> Result<Self, MonitorBuildError> {
-        let mut merged = ContractSet::default();
-        for behavior in behaviors {
-            let set = generate_with(
-                behavior,
-                &GenerateOptions {
-                    security,
-                    simplify: false,
-                },
-            )
-            .map_err(|e| MonitorBuildError { message: e.message })?;
-            for contract in set.contracts {
-                if merged.contract_for(&contract.trigger).is_some() {
-                    return Err(MonitorBuildError {
-                        message: format!(
-                            "trigger {} is modelled by more than one state machine",
-                            contract.trigger
-                        ),
-                    });
-                }
-                merged.contracts.push(contract);
-            }
-            merged.states.extend(set.states);
-        }
-        let coverage = CoverageTracker::new(&merged.covered_requirements());
-        let compiled = CompiledContractSet::compile(&merged);
+        let contracts = merge_contracts(behaviors, security)?;
+        let coverage = CoverageTracker::new(&contracts.covered_requirements());
+        let compiled = CompiledContractSet::compile(&contracts);
         let metrics = Arc::new(MetricsRegistry::new());
         let prober = StateProber::default().identity_counter_handles(
             metrics.identity.counter("hit"),
@@ -719,11 +544,10 @@ impl<S: SharedRestService> CloudMonitor<S> {
         Ok(CloudMonitor {
             cloud,
             routes: RouteTable::derive(resources, "/v3"),
-            contracts: merged,
+            contracts,
             compiled,
             prober,
             mode: Mode::Enforce,
-            eval_strategy: EvalStrategy::Compiled,
             snapshot_policy: SnapshotPolicy::Full,
             report_states: true,
             speculative_reads: false,
@@ -754,14 +578,6 @@ impl<S: SharedRestService> CloudMonitor<S> {
     #[must_use]
     pub fn snapshot_policy(mut self, policy: SnapshotPolicy) -> Self {
         self.snapshot_policy = policy;
-        self
-    }
-
-    /// Select the evaluation strategy (compiled by default; the
-    /// interpreter is kept for differential testing and benchmarks).
-    #[must_use]
-    pub fn eval_strategy(mut self, strategy: EvalStrategy) -> Self {
-        self.eval_strategy = strategy;
         self
     }
 
@@ -926,38 +742,46 @@ impl<S: SharedRestService> CloudMonitor<S> {
     /// Returns [`MonitorBuildError`] when the cloud rejects the
     /// credentials.
     pub fn authenticate(&mut self, user: &str, password: &str) -> Result<(), MonitorBuildError> {
+        let (token, project) =
+            self.issue_token(user, password, None)
+                .map_err(|status| MonitorBuildError {
+                    message: format!("monitor authentication failed: {status}"),
+                })?;
+        self.monitor_token = token;
+        self.monitor_project = project;
+        Ok(())
+    }
+
+    /// POST the credentials, optionally scoped to a project, to the
+    /// cloud's token endpoint. Returns the issued token id and the
+    /// project it is scoped to, or the status of the refusal.
+    fn issue_token(
+        &self,
+        user: &str,
+        password: &str,
+        project_id: Option<u64>,
+    ) -> Result<(String, Option<u64>), StatusCode> {
+        let mut auth = vec![
+            ("user", Json::Str(user.to_string())),
+            ("password", Json::Str(password.to_string())),
+        ];
+        if let Some(pid) = project_id {
+            auth.push(("project_id", Json::Int(pid as i64)));
+        }
         let resp = self.cloud.call(
-            &RestRequest::new(HttpMethod::Post, "/identity/auth/tokens").json(Json::object(vec![
-                (
-                    "auth",
-                    Json::object(vec![
-                        ("user", Json::Str(user.to_string())),
-                        ("password", Json::Str(password.to_string())),
-                    ]),
-                ),
-            ])),
+            &RestRequest::new(HttpMethod::Post, "/identity/auth/tokens")
+                .json(Json::object(vec![("auth", Json::object(auth))])),
         );
-        let token = resp
-            .body
-            .as_ref()
-            .and_then(|b| b.get("token"))
-            .and_then(|t| t.get("id"))
-            .and_then(Json::as_str);
-        match token {
-            Some(t) if resp.status.is_success() => {
-                self.monitor_token = t.to_string();
-                self.monitor_project = resp
-                    .body
-                    .as_ref()
-                    .and_then(|b| b.get("token"))
-                    .and_then(|tok| tok.get("project_id"))
+        let token = resp.body.as_ref().and_then(|b| b.get("token"));
+        match token.and_then(|t| t.get("id")).and_then(Json::as_str) {
+            Some(id) if resp.status.is_success() => Ok((
+                id.to_string(),
+                token
+                    .and_then(|t| t.get("project_id"))
                     .and_then(Json::as_int)
-                    .map(|v| v as u64);
-                Ok(())
-            }
-            _ => Err(MonitorBuildError {
-                message: format!("monitor authentication failed: {}", resp.status),
-            }),
+                    .map(|v| v as u64),
+            )),
+            _ => Err(resp.status),
         }
     }
 
@@ -978,40 +802,19 @@ impl<S: SharedRestService> CloudMonitor<S> {
         password: &str,
         project_id: u64,
     ) -> Result<(), MonitorBuildError> {
-        let resp = self.cloud.call(
-            &RestRequest::new(HttpMethod::Post, "/identity/auth/tokens").json(Json::object(vec![
-                (
-                    "auth",
-                    Json::object(vec![
-                        ("user", Json::Str(user.to_string())),
-                        ("password", Json::Str(password.to_string())),
-                        ("project_id", Json::Int(project_id as i64)),
-                    ]),
-                ),
-            ])),
-        );
-        let token = resp
-            .body
-            .as_ref()
-            .and_then(|b| b.get("token"))
-            .and_then(|t| t.get("id"))
-            .and_then(Json::as_str);
-        match token {
-            Some(t) if resp.status.is_success() => {
-                if self.monitor_token.is_empty() {
-                    self.monitor_token = t.to_string();
-                    self.monitor_project = Some(project_id);
-                }
-                self.project_tokens.insert(project_id, t.to_string());
-                Ok(())
-            }
-            _ => Err(MonitorBuildError {
+        let (token, _) = self
+            .issue_token(user, password, Some(project_id))
+            .map_err(|status| MonitorBuildError {
                 message: format!(
-                    "monitor authentication failed for project {project_id}: {}",
-                    resp.status
+                    "monitor authentication failed for project {project_id}: {status}"
                 ),
-            }),
+            })?;
+        if self.monitor_token.is_empty() {
+            self.monitor_token = token.clone();
+            self.monitor_project = Some(project_id);
         }
+        self.project_tokens.insert(project_id, token);
+        Ok(())
     }
 
     /// The wrapped cloud (read access for assertions in tests).
@@ -1067,12 +870,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
     /// touching one project's resources serialize on one lock; anything
     /// else (identity, unmodelled paths) shards by path hash.
     fn shard_index(&self, path: &str) -> usize {
-        let mut segments = path.split('/').filter(|s| !s.is_empty());
-        let project = match (segments.next(), segments.next()) {
-            (Some("v3" | "compute"), Some(pid)) => pid.parse::<u64>().ok(),
-            _ => None,
-        };
-        let key = project.unwrap_or_else(|| {
+        let key = path_project(path).unwrap_or_else(|| {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
             path.hash(&mut hasher);
             hasher.finish()
@@ -1158,20 +956,6 @@ impl<S: SharedRestService> CloudMonitor<S> {
             let diagnostics = format!("replica drift: {}", drift.details);
             if let Some(recorder) = &self.audit {
                 recorder.record(AuditRecord {
-                    seq: drift_seq,
-                    ts_nanos: SystemTime::now()
-                        .duration_since(UNIX_EPOCH)
-                        .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-                        .unwrap_or(0),
-                    method: request.method.as_str().to_string(),
-                    path: request.path.clone(),
-                    route: None,
-                    trigger: None,
-                    mode: match self.mode {
-                        Mode::Enforce => MonitorMode::Enforce,
-                        Mode::Observe => MonitorMode::Observe,
-                    },
-                    degraded_policy: self.degraded_policy.label(),
                     verdict: VerdictCode::Drift,
                     requirements: drift.requirements.clone(),
                     status: outcome.response.status.0,
@@ -1179,6 +963,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
                     context: ReplayContext::Drift {
                         attributes: drift.attributes.clone(),
                     },
+                    ..self.audit_stamp(drift_seq, request)
                 });
             }
             let event = MonitorEvent {
@@ -1230,20 +1015,6 @@ impl<S: SharedRestService> CloudMonitor<S> {
         if let Some(recorder) = &self.audit {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             recorder.record(AuditRecord {
-                seq,
-                ts_nanos: SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-                    .unwrap_or(0),
-                method: request.method.as_str().to_string(),
-                path: request.path.clone(),
-                route: None,
-                trigger: None,
-                mode: match self.mode {
-                    Mode::Enforce => MonitorMode::Enforce,
-                    Mode::Observe => MonitorMode::Observe,
-                },
-                degraded_policy: self.degraded_policy.label(),
                 verdict: VerdictCode::Degraded,
                 requirements: Vec::new(),
                 status: StatusCode::SERVICE_UNAVAILABLE.0,
@@ -1252,6 +1023,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
                     forwarded: false,
                     faults: vec![detail.clone()],
                 },
+                ..self.audit_stamp(seq, request)
             });
         }
         let event = MonitorEvent {
@@ -1283,16 +1055,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         diagnostics: &str,
     ) -> AuditRecord {
         let context = match obs.ctx.take() {
-            Some(CtxSpecial::Unmodelled) => ReplayContext::Unmodelled,
-            Some(CtxSpecial::MethodNotAllowed { enforced }) => ReplayContext::MethodNotAllowed {
-                enforced,
-                cloud_status: obs.cloud_status,
-            },
-            Some(CtxSpecial::BadTarget) => ReplayContext::BadTarget,
-            Some(CtxSpecial::DegradedPre { forwarded, faults }) => {
-                ReplayContext::DegradedPre { forwarded, faults }
-            }
-            Some(CtxSpecial::DegradedForward) => ReplayContext::DegradedForward,
+            Some(context) => context,
             None => match obs.pre_env.take() {
                 Some(pre_env) => ReplayContext::Checked {
                     pre_env,
@@ -1314,6 +1077,24 @@ impl<S: SharedRestService> CloudMonitor<S> {
             },
         };
         AuditRecord {
+            route: obs.route.clone(),
+            trigger: trigger
+                .as_ref()
+                .map(|t| (t.method.as_str().to_string(), t.resource.clone())),
+            verdict: outcome.verdict.clone(),
+            requirements: outcome.requirements.clone(),
+            status: outcome.response.status.0,
+            diagnostics: diagnostics.to_string(),
+            context,
+            ..self.audit_stamp(seq, request)
+        }
+    }
+
+    /// An audit record of `request`, stamped with the time and the
+    /// monitor's mode and degraded policy; callers fill in what was
+    /// decided.
+    fn audit_stamp(&self, seq: u64, request: &RestRequest) -> AuditRecord {
+        AuditRecord {
             seq,
             ts_nanos: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
@@ -1321,20 +1102,18 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 .unwrap_or(0),
             method: request.method.as_str().to_string(),
             path: request.path.clone(),
-            route: obs.route.clone(),
-            trigger: trigger
-                .as_ref()
-                .map(|t| (t.method.as_str().to_string(), t.resource.clone())),
+            route: None,
+            trigger: None,
             mode: match self.mode {
                 Mode::Enforce => MonitorMode::Enforce,
                 Mode::Observe => MonitorMode::Observe,
             },
             degraded_policy: self.degraded_policy.label(),
-            verdict: VerdictCode::from(&outcome.verdict),
-            requirements: outcome.requirements.clone(),
-            status: outcome.response.status.0,
-            diagnostics: diagnostics.to_string(),
-            context,
+            verdict: VerdictCode::Pass,
+            requirements: Vec::new(),
+            status: 0,
+            diagnostics: String::new(),
+            context: ReplayContext::Unmodelled,
         }
     }
 
@@ -1376,7 +1155,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 admitted
             }
         };
-        obs.ctx = Some(CtxSpecial::DegradedPre {
+        obs.ctx = Some(ReplayContext::DegradedPre {
             forwarded: forward_unchecked,
             faults: faults.iter().map(ToString::to_string).collect(),
         });
@@ -1440,28 +1219,27 @@ impl<S: SharedRestService> CloudMonitor<S> {
         }
     }
 
-    /// Replica bookkeeping for forwards that bypass the checked path: a
-    /// successful non-GET against a project whose replica exists may
-    /// have mutated state the transition function never saw, so the
-    /// replica can no longer predict — mark it stale (the next request
-    /// probes and re-seeds).
-    fn note_unmodelled_forward(
+    /// Forward a request no contract checks. A successful non-GET
+    /// against a project whose replica exists may have mutated state the
+    /// transition function never saw, so the replica can no longer
+    /// predict — mark it stale (the next request probes and re-seeds).
+    fn forward_unchecked(
+        &self,
+        request: &RestRequest,
+        obs: &mut ObsScratch,
         replicas: &mut HashMap<u64, ProjectReplica>,
-        path: &str,
-        method: HttpMethod,
-        response: &RestResponse,
-    ) {
-        if method == HttpMethod::Get || !response.status.is_success() {
-            return;
-        }
-        let mut segments = path.split('/').filter(|s| !s.is_empty());
-        if let (Some("v3" | "compute"), Some(pid)) = (segments.next(), segments.next()) {
-            if let Ok(pid) = pid.parse::<u64>() {
-                if let Some(replica) = replicas.get_mut(&pid) {
-                    replica.mark_stale();
-                }
+    ) -> RestResponse {
+        let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
+        if request.method != HttpMethod::Get && response.status.is_success() {
+            if let Some(replica) =
+                path_project(&request.path).and_then(|pid| replicas.get_mut(&pid))
+            {
+                replica.mark_stale();
             }
         }
+        obs.forwarded = true;
+        obs.cloud_status = Some(response.status.0);
+        response
     }
 
     #[allow(clippy::too_many_lines)]
@@ -1482,7 +1260,10 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 // Listing 2: HttpResponseNotAllowed. `route.allow` is the
                 // method list pre-joined at derivation time.
                 if self.mode == Mode::Enforce {
-                    obs.ctx = Some(CtxSpecial::MethodNotAllowed { enforced: true });
+                    obs.ctx = Some(ReplayContext::MethodNotAllowed {
+                        enforced: true,
+                        cloud_status: None,
+                    });
                     let resp = RestResponse::error(
                         StatusCode::METHOD_NOT_ALLOWED,
                         format!("method not allowed; allowed: {}", route.allow),
@@ -1498,11 +1279,11 @@ impl<S: SharedRestService> CloudMonitor<S> {
                         "method not in model-derived interface".to_string(),
                     );
                 }
-                let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-                Self::note_unmodelled_forward(replicas, &request.path, request.method, &response);
-                obs.ctx = Some(CtxSpecial::MethodNotAllowed { enforced: false });
-                obs.forwarded = true;
-                obs.cloud_status = Some(response.status.0);
+                let response = self.forward_unchecked(request, obs, replicas);
+                obs.ctx = Some(ReplayContext::MethodNotAllowed {
+                    enforced: false,
+                    cloud_status: obs.cloud_status,
+                });
                 let verdict = if response.status.is_success() {
                     Verdict::WrongAcceptance
                 } else {
@@ -1520,11 +1301,8 @@ impl<S: SharedRestService> CloudMonitor<S> {
             }
             Resolution::NotFound => {
                 // Unknown to the model (e.g. /identity/…): transparent proxy.
-                let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-                Self::note_unmodelled_forward(replicas, &request.path, request.method, &response);
-                obs.ctx = Some(CtxSpecial::Unmodelled);
-                obs.forwarded = true;
-                obs.cloud_status = Some(response.status.0);
+                let response = self.forward_unchecked(request, obs, replicas);
+                obs.ctx = Some(ReplayContext::Unmodelled);
                 return (
                     MonitorOutcome {
                         response,
@@ -1541,11 +1319,8 @@ impl<S: SharedRestService> CloudMonitor<S> {
         //    the read side is immutable, nothing needs cloning).
         let trigger = Trigger::new(request.method, route.trigger_resource(request.method));
         let Some(contract_idx) = self.compiled.index_for(&trigger) else {
-            let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-            Self::note_unmodelled_forward(replicas, &request.path, request.method, &response);
-            obs.ctx = Some(CtxSpecial::Unmodelled);
-            obs.forwarded = true;
-            obs.cloud_status = Some(response.status.0);
+            let response = self.forward_unchecked(request, obs, replicas);
+            obs.ctx = Some(ReplayContext::Unmodelled);
             return (
                 MonitorOutcome {
                     response,
@@ -1558,11 +1333,10 @@ impl<S: SharedRestService> CloudMonitor<S> {
         };
         let contract = &self.contracts.contracts[contract_idx];
         let compiled = &self.compiled.contracts()[contract_idx];
-        let syms = self.compiled.symbols();
 
         // 3. Identify the probe target from the captured URI parameters.
         let Some(project_id) = params.get("project_id").and_then(|s| s.parse::<u64>().ok()) else {
-            obs.ctx = Some(CtxSpecial::BadTarget);
+            obs.ctx = Some(ReplayContext::BadTarget);
             let response =
                 RestResponse::error(StatusCode::BAD_REQUEST, "bad or missing project id");
             return (
@@ -1591,18 +1365,20 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 .unwrap_or_else(|| self.monitor_token.clone()),
         };
 
-        // 4. Snapshot the pre-state and check the pre-condition. The
-        //    pre-phase attribute scope includes the post-condition's
-        //    `pre()` reads — this snapshot doubles as the post's
-        //    pre-state.
-        let minimal_roots = match self.snapshot_policy {
-            SnapshotPolicy::Minimal => contract.referenced_roots(),
-            _ => Vec::new(),
-        };
-        let (pre_scope, post_scope) = if self.report_states {
-            (compiled.pre_scope(), compiled.post_scope())
-        } else {
-            (compiled.pre_scope_lean(), compiled.post_scope_lean())
+        // 4. Bind the pre-state. Under `Scoped` each phase probes only
+        //    the attributes its evaluation reads; the pre-phase scope
+        //    includes the post-condition's `pre()` reads — this snapshot
+        //    doubles as the post's pre-state.
+        let (pre_scope, post_scope) = match self.snapshot_policy {
+            SnapshotPolicy::Scoped if self.report_states => (
+                ProbeScope::Attrs(compiled.pre_scope()),
+                ProbeScope::Attrs(compiled.post_scope()),
+            ),
+            SnapshotPolicy::Scoped => (
+                ProbeScope::Attrs(compiled.pre_scope_lean()),
+                ProbeScope::Attrs(compiled.post_scope_lean()),
+            ),
+            SnapshotPolicy::Full | SnapshotPolicy::Replica => (ProbeScope::Full, ProbeScope::Full),
         };
         // Speculative safe-method pipelining (opt-in): for a GET the
         // pre-probes, the forward, and the post-probes collapse into
@@ -1611,7 +1387,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         // exchange; the forward slot's result is held back until the
         // pre-verdict is in (and discarded on a deny — the GET was
         // side-effect-free). See [`CloudMonitor::speculative_reads`].
-        let mut speculated: Option<(RestResponse, crate::probe::Snapshot)> = None;
+        let mut speculated: Option<(RestResponse, Snapshot)> = None;
         let mut replica_identity: Option<Arc<RestResponse>> = None;
         let mut via_replica = false;
         let pre_snapshot = if self.snapshot_policy == SnapshotPolicy::Replica {
@@ -1630,7 +1406,8 @@ impl<S: SharedRestService> CloudMonitor<S> {
                     .increment(if miss { "miss" } else { "reconcile" });
                 let reconcile_started = Instant::now();
                 let snap = timed(&mut obs.timings.snapshot, || {
-                    self.prober.snapshot_checked(&self.cloud, &target)
+                    self.prober
+                        .snapshot_with(&self.cloud, &target, ProbeScope::Full)
                 });
                 if snap.is_partial() {
                     // Transport weather during anti-entropy: the
@@ -1675,49 +1452,22 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 if obs.audit {
                     obs.replica_env = true;
                 }
-                crate::probe::Snapshot {
+                Snapshot {
                     nav,
                     denials: Vec::new(),
                     faults: Vec::new(),
                 }
             }
         } else if self.speculation_allowed() && request.method == HttpMethod::Get {
-            let (pre, response, post) =
-                timed(&mut obs.timings.snapshot, || match self.snapshot_policy {
-                    SnapshotPolicy::Full => {
-                        self.prober
-                            .snapshot_sandwich_checked(&self.cloud, request, &target)
-                    }
-                    SnapshotPolicy::Minimal => self.prober.snapshot_sandwich_scoped(
-                        &self.cloud,
-                        request,
-                        &target,
-                        &minimal_roots,
-                    ),
-                    SnapshotPolicy::Scoped => self.prober.snapshot_sandwich_attrs(
-                        &self.cloud,
-                        request,
-                        &target,
-                        pre_scope,
-                        post_scope,
-                    ),
-                    // Replica mode took the dedicated branch above.
-                    SnapshotPolicy::Replica => unreachable!("replica handled in its own arm"),
-                });
+            let (pre, response, post) = timed(&mut obs.timings.snapshot, || {
+                self.prober
+                    .snapshot_sandwich(&self.cloud, request, &target, pre_scope, post_scope)
+            });
             speculated = Some((response, post));
             pre
         } else {
-            timed(&mut obs.timings.snapshot, || match self.snapshot_policy {
-                SnapshotPolicy::Full => self.prober.snapshot_checked(&self.cloud, &target),
-                SnapshotPolicy::Minimal => {
-                    self.prober
-                        .snapshot_scoped(&self.cloud, &target, &minimal_roots)
-                }
-                SnapshotPolicy::Scoped => {
-                    self.prober.snapshot_attrs(&self.cloud, &target, pre_scope)
-                }
-                // Replica mode took the dedicated branch above.
-                SnapshotPolicy::Replica => unreachable!("replica handled in its own arm"),
+            timed(&mut obs.timings.snapshot, || {
+                self.prober.snapshot_with(&self.cloud, &target, pre_scope)
             })
         };
         // A partial snapshot (transport faults) means the pre-condition
@@ -1744,446 +1494,83 @@ impl<S: SharedRestService> CloudMonitor<S> {
             obs.pre_env = Some(EnvSnapshot::capture(&pre_state));
             obs.probe_denials = probe_errors.clone();
         }
-        // The interned view of the pre-state snapshot serves the
-        // pre-check, requirement attribution, and later the post phase's
-        // pre-state environment.
-        let pre_view = EnvView::from_navigator(&pre_state, syms);
-        let pre_ok = match timed(&mut obs.timings.pre_check, || {
-            obs.contract = Some(contract.trigger.to_string());
-            match self.eval_strategy {
-                EvalStrategy::Compiled => {
-                    compiled.begin_pre(scratch);
-                    compiled.evaluate_pre(syms, &pre_view, scratch)
-                }
-                EvalStrategy::Interpreter => contract.evaluate_pre(&pre_state),
-            }
-        }) {
-            Ok(v) => v,
-            Err(e) => {
-                let diagnostics = format!("pre-condition evaluation failed: {e}");
-                let response = if self.mode == Mode::Enforce {
-                    RestResponse::error(StatusCode::INTERNAL_SERVER_ERROR, &diagnostics)
-                } else {
-                    let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
-                    obs.forwarded = true;
-                    obs.cloud_status = Some(response.status.0);
-                    response
-                };
-                return (
-                    MonitorOutcome {
-                        response,
-                        verdict: Verdict::ContractError,
-                        requirements: Vec::new(),
-                    },
-                    Some(trigger),
-                    diagnostics,
-                );
-            }
-        };
-        let requirements = timed(&mut obs.timings.pre_check, || match self.eval_strategy {
-            // The clause roots are shared subtrees of the combined pre
-            // (hash-consing), so with the memo table still warm from
-            // `evaluate_pre` this is nearly free.
-            EvalStrategy::Compiled => compiled
-                .enabled_clause_indices(syms, &pre_view, scratch)
-                .map(|idxs| {
-                    let mut out: Vec<String> = Vec::new();
-                    for i in idxs {
-                        for r in &contract.clauses[i].security_requirements {
-                            if !out.contains(r) {
-                                out.push(r.clone());
-                            }
-                        }
-                    }
-                    out
-                })
-                .unwrap_or_default(),
-            EvalStrategy::Interpreter => contract
-                .exercised_requirements(&pre_state)
-                .unwrap_or_default(),
-        });
+        obs.contract = Some(contract.trigger.to_string());
 
-        if self.mode == Mode::Enforce && !pre_ok {
-            let response = RestResponse::error(
-                StatusCode::PRECONDITION_FAILED,
-                format!("pre-condition of {trigger} violated"),
-            );
-            return (
-                MonitorOutcome {
-                    response,
-                    verdict: Verdict::PreBlocked,
-                    requirements: contract.security_requirements.clone(),
-                },
-                Some(trigger),
+        // 5. Judge: pre-check, forward, post-check (`crate::judge`).
+        let case = Case {
+            contracts: &self.contracts,
+            compiled: &self.compiled,
+            idx: contract_idx,
+            mode: self.mode,
+            report_states: self.report_states,
+        };
+        let mut live = LiveObserver {
+            monitor: self,
+            request,
+            target: &target,
+            contract,
+            obs,
+            replicas,
+            post_scope,
+            speculated,
+            via_replica,
+            replica_identity,
+            merged_post: None,
+            response: None,
+        };
+        let (Ok(judgement) | Err(judgement)) =
+            judge(&case, &pre_state, &probe_errors, scratch, &mut live);
+        let LiveObserver {
+            obs,
+            speculated,
+            response,
+            ..
+        } = live;
+        let Judgement {
+            verdict,
+            requirements,
+            mut diagnostics,
+        } = judgement;
+        let response = match response {
+            Some(response) => {
+                if verdict == Verdict::Degraded {
+                    // Forwarded yet unchecked: either the post-state of
+                    // a success went unobserved, or the forward itself
+                    // failed or came back as a gateway status.
+                    self.metrics
+                        .resilience
+                        .increment(if response.status.is_success() {
+                            "degraded_post"
+                        } else {
+                            "degraded_forward"
+                        });
+                }
+                response
+            }
+            None if verdict == Verdict::PreBlocked => {
                 if speculated.is_some() {
                     // The speculative (read-only) forward did execute;
                     // only its response is withheld from the client.
-                    "blocked; speculative read response discarded".to_string()
-                } else {
-                    "blocked before reaching the cloud".to_string()
-                },
-            );
-        }
-
-        // 5. Forward to the cloud. When the pre-condition passed, the
-        //    overwhelmingly likely next step is the post-state snapshot,
-        //    so the forward and the post probes ride in ONE pipelined
-        //    batch over the backend connection: the backend answers a
-        //    batch in order, so the probes still observe the post-call
-        //    state, and a full round of backend round-trips disappears
-        //    from the pass path. The batch layer re-sends on a stale
-        //    pooled connection only before the first response commits,
-        //    so the forward keeps its at-most-once delivery. A failed
-        //    pre-condition (Verify mode continues here) never consults
-        //    the post-state, so it keeps the plain forward.
-        let mut merged_post: Option<crate::probe::Snapshot> = None;
-        let response = if let Some((response, post)) = speculated.take() {
-            // Sandwich batch already carried the forward and the
-            // post-probes; nothing further to send. This serves the
-            // pre-failed Verify path too — the forward genuinely
-            // executed, and the post-state rode along.
-            merged_post = Some(post);
-            response
-        } else if pre_ok && via_replica {
-            // Replica steady state: the post-state is *predicted* from
-            // the response, so the forward travels alone — no probes.
-            timed(&mut obs.timings.forward, || self.cloud.call(request))
-        } else if pre_ok {
-            let (response, snap) = timed(&mut obs.timings.forward, || match self.snapshot_policy {
-                SnapshotPolicy::Full | SnapshotPolicy::Replica => self
-                    .prober
-                    .snapshot_checked_after(&self.cloud, request, &target),
-                SnapshotPolicy::Minimal => {
-                    self.prober
-                        .snapshot_scoped_after(&self.cloud, request, &target, &minimal_roots)
+                    diagnostics = "blocked; speculative read response discarded".to_string();
                 }
-                SnapshotPolicy::Scoped => {
-                    self.prober
-                        .snapshot_attrs_after(&self.cloud, request, &target, post_scope)
-                }
-            });
-            merged_post = Some(snap);
-            response
-        } else {
-            timed(&mut obs.timings.forward, || self.cloud.call(request))
-        };
-        // A *marked* transport fault means the monitor's own client
-        // synthesised this response (wire failure, shed, exhausted
-        // budget): the backend never answered, so there is no cloud
-        // behaviour to classify, only a sick path. The marker is
-        // trustworthy because `RemoteService` strips it from everything
-        // that actually arrives over the wire. Bare gateway statuses
-        // (502/503/504) are NOT taken at face value here — a misbehaving
-        // cloud could answer 503 itself to dodge its post-condition
-        // check — they fall through to the classification below, which
-        // disambiguates against the post-state.
-        if response.is_transport_fault() {
-            if self.snapshot_policy == SnapshotPolicy::Replica {
-                // The forward may or may not have executed: the replica
-                // can no longer predict. Stale, not wrong.
-                if let Some(replica) = replicas.get_mut(&project_id) {
-                    replica.mark_stale();
-                    self.metrics.replica.increment("stale");
-                }
-            }
-            self.metrics.resilience.increment("degraded_forward");
-            obs.ctx = Some(CtxSpecial::DegradedForward);
-            let diagnostics = format!("forward failed in transport: {}", response.status);
-            return (
-                MonitorOutcome {
-                    response,
-                    verdict: Verdict::Degraded,
-                    requirements: contract.security_requirements.clone(),
-                },
-                Some(trigger),
-                diagnostics,
-            );
-        }
-        obs.forwarded = true;
-        obs.cloud_status = Some(response.status.0);
-        let success = response.status.is_success();
-
-        // Advance the replica's state machine from the observed
-        // request/response pair — for EVERY forwarded response, whatever
-        // the pre-verdict: a wrongly-accepted mutation still changed the
-        // cloud, and the replica tracks the cloud, not the contract. An
-        // unpredictable response (gateway status, unexpected shape)
-        // marks the replica stale inside.
-        if self.snapshot_policy == SnapshotPolicy::Replica {
-            let replica = replicas.entry(project_id).or_default();
-            let was_ready = replica.ready();
-            let predicted = replica.observe_response(
-                &trigger.resource,
-                request.method,
-                volume_id,
-                snapshot_id,
-                &response,
-            );
-            if !predicted && was_ready {
-                self.metrics.replica.increment("stale");
-            }
-        }
-
-        // Both the success arm (post-condition check) and the gateway
-        // disambiguation below observe the post-state the same way —
-        // normally straight from the merged batch above; the standalone
-        // round only runs on the pre-failed (Verify) path and the
-        // replica steady state (where it costs zero probes).
-        let mut take_post_snapshot = || {
-            if let Some(snap) = merged_post.take() {
-                // The replica probe path's post snapshot is ground
-                // truth after the mutation — absorb it.
-                if self.snapshot_policy == SnapshotPolicy::Replica && !snap.is_partial() {
-                    replicas
-                        .entry(project_id)
-                        .or_default()
-                        .absorb(project_id, volume_id, &snap.nav);
-                }
-                return snap;
-            }
-            match self.snapshot_policy {
-                SnapshotPolicy::Full => self.prober.snapshot_checked(&self.cloud, &target),
-                SnapshotPolicy::Minimal => {
-                    self.prober
-                        .snapshot_scoped(&self.cloud, &target, &minimal_roots)
-                }
-                SnapshotPolicy::Scoped => {
-                    self.prober.snapshot_attrs(&self.cloud, &target, post_scope)
-                }
-                SnapshotPolicy::Replica => {
-                    let replica = replicas.entry(project_id).or_default();
-                    if replica.ready() {
-                        // Post-state predicted by the transition just
-                        // applied; identity rides the stashed (cached)
-                        // introspection. Zero probes.
-                        let mut nav = replica.build_nav(project_id, volume_id, snapshot_id);
-                        match &replica_identity {
-                            Some(introspection) => {
-                                ProjectReplica::bind_identity(&mut nav, introspection);
-                            }
-                            None => ProjectReplica::bind_no_identity(&mut nav),
-                        }
-                        crate::probe::Snapshot {
-                            nav,
-                            denials: Vec::new(),
-                            faults: Vec::new(),
-                        }
-                    } else {
-                        // The response was unpredictable: on-demand
-                        // reconciliation serves the post-state and
-                        // re-seeds the replica.
-                        self.metrics.replica.increment("miss");
-                        let snap = self.prober.snapshot_checked(&self.cloud, &target);
-                        if !snap.is_partial() {
-                            replica.absorb(project_id, volume_id, &snap.nav);
-                        }
-                        snap
-                    }
-                }
-            }
-        };
-
-        // 6. Interpret the response code and check the post-condition.
-        let (verdict, diagnostics) = if pre_ok && success {
-            let expected = expected_success_status(request.method);
-            if response.status != expected {
-                (
-                    Verdict::WrongStatus {
-                        expected: expected.0,
-                        actual: response.status.0,
-                    },
-                    format!("expected {expected}, got {}", response.status),
+                RestResponse::error(
+                    StatusCode::PRECONDITION_FAILED,
+                    format!("pre-condition of {trigger} violated"),
                 )
-            } else {
-                let post_snapshot = timed(&mut obs.timings.snapshot, &mut take_post_snapshot);
-                // The call already executed; only its *verification* is
-                // lost. Report the post-condition as untestable rather
-                // than judging a half-observed post-state.
-                if post_snapshot.is_partial() {
-                    self.metrics.resilience.increment("degraded_post");
-                    obs.post_partial = true;
-                    let fault_list = post_snapshot
-                        .faults
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("; ");
-                    return (
-                        MonitorOutcome {
-                            response,
-                            verdict: Verdict::Degraded,
-                            requirements: contract.security_requirements.clone(),
-                        },
-                        Some(trigger),
-                        format!("post-snapshot faults: {fault_list}"),
-                    );
-                }
-                let post_state = post_snapshot.nav;
-                if obs.audit {
-                    obs.post_env = Some(EnvSnapshot::capture(&post_state));
-                }
-                let post_view = match self.eval_strategy {
-                    EvalStrategy::Compiled => Some(EnvView::from_navigator(&post_state, syms)),
-                    EvalStrategy::Interpreter => None,
-                };
-                match timed(&mut obs.timings.post_check, || {
-                    match (self.eval_strategy, &post_view) {
-                        (EvalStrategy::Compiled, Some(view)) => {
-                            compiled.begin_post(scratch);
-                            compiled.evaluate_post(syms, view, &pre_view, scratch)
-                        }
-                        _ => contract.evaluate_post(&post_state, &pre_state),
-                    }
-                }) {
-                    Ok(true) => {
-                        // The paper's stateful view: report which model
-                        // state the system is in after the call. Skipped
-                        // entirely when state reporting is off — a lean
-                        // snapshot does not cover the invariants' reads.
-                        let states = if !self.report_states {
-                            Vec::new()
-                        } else {
-                            timed(&mut obs.timings.post_check, || {
-                                match (self.eval_strategy, &post_view) {
-                                    (EvalStrategy::Compiled, Some(view)) => compiled
-                                        .matching_state_indices_post(syms, view, &pre_view, scratch)
-                                        .map(|idxs| {
-                                            idxs.iter()
-                                                .map(|&i| self.compiled.state_names()[i].clone())
-                                                .collect::<Vec<_>>()
-                                        })
-                                        .unwrap_or_default(),
-                                    _ => self
-                                        .contracts
-                                        .states_matching(&post_state)
-                                        .unwrap_or_default(),
-                                }
-                            })
-                        };
-                        let diagnostics = if states.is_empty() {
-                            String::new()
-                        } else {
-                            format!("state: {}", states.join(", "))
-                        };
-                        (Verdict::Pass, diagnostics)
-                    }
-                    Ok(false) => (
-                        Verdict::PostViolation,
-                        format!("post-condition of {trigger} violated"),
-                    ),
-                    Err(e) => (
-                        Verdict::ContractError,
-                        format!("post-condition evaluation failed: {e}"),
-                    ),
-                }
             }
-        } else if pre_ok && response.status.is_gateway_error() {
-            // An authorized request came back with a bare 502/503/504
-            // from the wire. Two indistinguishable-by-status stories:
-            // an intermediary answered for a sick backend (transport
-            // weather), or the cloud itself masked an executed call
-            // behind a 5xx to dodge its post-condition check. The
-            // post-state disambiguates: a post-condition that HOLDS
-            // means the call ran — a status-lying cloud, a violation.
-            // Anything else is indistinguishable from weather and
-            // degrades (counted, never a false violation).
-            let post_snapshot = timed(&mut obs.timings.snapshot, &mut take_post_snapshot);
-            let executed = if post_snapshot.is_partial() {
-                obs.post_partial = true;
-                None
-            } else {
-                let post_state = post_snapshot.nav;
-                if obs.audit {
-                    obs.post_env = Some(EnvSnapshot::capture(&post_state));
-                }
-                let holds = timed(&mut obs.timings.post_check, || match self.eval_strategy {
-                    EvalStrategy::Compiled => {
-                        let post_view = EnvView::from_navigator(&post_state, syms);
-                        compiled.begin_post(scratch);
-                        compiled.evaluate_post(syms, &post_view, &pre_view, scratch)
-                    }
-                    EvalStrategy::Interpreter => contract.evaluate_post(&post_state, &pre_state),
-                });
-                // An evaluation error cannot convict the cloud: treat
-                // it as not-proven-executed and degrade below.
-                Some(holds.unwrap_or(false))
-            };
-            if executed == Some(true) {
-                (
-                    Verdict::WrongStatus {
-                        expected: expected_success_status(request.method).0,
-                        actual: response.status.0,
-                    },
-                    format!(
-                        "cloud answered {} yet the post-condition holds: \
-                         an executed call behind a masking gateway status",
-                        response.status
-                    ),
-                )
-            } else {
-                self.metrics.resilience.increment("degraded_forward");
-                let diagnostics = if executed.is_none() {
-                    format!(
-                        "forward answered {} and the post-state is unobservable",
-                        response.status
-                    )
-                } else {
-                    format!(
-                        "forward answered gateway status {}; post-state consistent with no execution",
-                        response.status
-                    )
-                };
-                return (
-                    MonitorOutcome {
-                        response,
-                        verdict: Verdict::Degraded,
-                        requirements: contract.security_requirements.clone(),
-                    },
-                    Some(trigger),
-                    diagnostics,
-                );
+            // The pre-condition failed to evaluate (ContractError).
+            None if self.mode == Mode::Enforce => {
+                RestResponse::error(StatusCode::INTERNAL_SERVER_ERROR, &diagnostics)
             }
-        } else if pre_ok {
-            (
-                Verdict::WrongDenial,
-                format!("authorized request denied with {}", response.status),
-            )
-        } else if success {
-            (
-                Verdict::WrongAcceptance,
-                format!(
-                    "unauthorized/disallowed request succeeded with {}",
-                    response.status
-                ),
-            )
-        } else {
-            (Verdict::Pass, "correctly denied".to_string())
+            None => {
+                let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
+                obs.forwarded = true;
+                obs.cloud_status = Some(response.status.0);
+                response
+            }
         };
 
-        // A denied monitor probe means the cloud refused admin-authority
-        // reads — report it even when the request itself looked correctly
-        // handled (otherwise a read-denying mutant hides from the oracle).
-        let (verdict, diagnostics) = if verdict == Verdict::Pass && !probe_errors.is_empty() {
-            (
-                Verdict::WrongDenial,
-                format!("monitor probes denied: {}", probe_errors.join("; ")),
-            )
-        } else {
-            (verdict, diagnostics)
-        };
-
-        // A violation with no enabled pre clause (e.g. WrongAcceptance:
-        // the request should have been denied outright) would otherwise
-        // carry no requirement ids at all. Attribute the trigger
-        // contract's requirements so the verdict stays traceable to
-        // Table I — the kill matrix keys its cells on exactly this.
-        let requirements = if verdict.is_violation() && requirements.is_empty() {
-            contract.security_requirements.clone()
-        } else {
-            requirements
-        };
-
-        // 7. In enforce mode, violations become an invalid response that
+        // 6. In enforce mode, violations become an invalid response that
         //    names the faulty behaviour (Figure 2).
         let response = if self.mode == Mode::Enforce && verdict.is_violation() {
             RestResponse::error(
@@ -2203,6 +1590,199 @@ impl<S: SharedRestService> CloudMonitor<S> {
             Some(trigger),
             diagnostics,
         )
+    }
+}
+
+/// The live side of [`judge`]: forwards the request to the cloud and
+/// observes the post-state, through the snapshot policy's probes or the
+/// shadow replica.
+struct LiveObserver<'a, S: SharedRestService> {
+    monitor: &'a CloudMonitor<S>,
+    request: &'a RestRequest,
+    target: &'a ProbeTarget,
+    contract: &'a MethodContract,
+    obs: &'a mut ObsScratch,
+    replicas: &'a mut HashMap<u64, ProjectReplica>,
+    post_scope: ProbeScope<'a>,
+    /// The speculative sandwich's response and post-state, held back
+    /// until the pre-verdict is in.
+    speculated: Option<(RestResponse, Snapshot)>,
+    /// The pre-state came from the replica's steady state.
+    via_replica: bool,
+    /// The introspection answer the replica pre-state bound `user` from.
+    replica_identity: Option<Arc<RestResponse>>,
+    /// Post-state probes that rode in the forward's batch.
+    merged_post: Option<Snapshot>,
+    /// The cloud's response, once forwarded.
+    response: Option<RestResponse>,
+}
+
+impl<S: SharedRestService> Observer for LiveObserver<'_, S> {
+    type Halt = Judgement;
+
+    fn forward(&mut self, pre_ok: bool) -> Result<StatusCode, Judgement> {
+        let (monitor, request, target) = (self.monitor, self.request, self.target);
+        // When the pre-condition passed, the overwhelmingly likely next
+        // step is the post-state snapshot, so the forward and the post
+        // probes ride in ONE pipelined batch over the backend
+        // connection: the backend answers a batch in order, so the
+        // probes still observe the post-call state, and a full round of
+        // backend round-trips disappears from the pass path. The batch
+        // layer re-sends on a stale pooled connection only before the
+        // first response commits, so the forward keeps its at-most-once
+        // delivery.
+        let response = if let Some((response, post)) = self.speculated.take() {
+            // Sandwich batch already carried the forward and the
+            // post-probes; nothing further to send. This serves the
+            // pre-failed Observe path too — the forward genuinely
+            // executed, and the post-state rode along.
+            self.merged_post = Some(post);
+            response
+        } else if pre_ok && !self.via_replica {
+            let post_scope = self.post_scope;
+            let (response, snap) = timed(&mut self.obs.timings.forward, || {
+                monitor
+                    .prober
+                    .snapshot_after(&monitor.cloud, request, target, post_scope)
+            });
+            self.merged_post = Some(snap);
+            response
+        } else {
+            // A failed pre-condition never consults the post-state, and
+            // in replica steady state the post-state is *predicted* from
+            // the response: the forward travels alone.
+            timed(&mut self.obs.timings.forward, || {
+                monitor.cloud.call(request)
+            })
+        };
+        // A *marked* transport fault means the monitor's own client
+        // synthesised this response (wire failure, shed, exhausted
+        // budget): the backend never answered, so there is no cloud
+        // behaviour to classify, only a sick path. The marker is
+        // trustworthy because `RemoteService` strips it from everything
+        // that actually arrives over the wire. Bare gateway statuses
+        // (502/503/504) are NOT taken at face value here — a misbehaving
+        // cloud could answer 503 itself to dodge its post-condition
+        // check — the judge disambiguates them against the post-state.
+        if response.is_transport_fault() {
+            if monitor.snapshot_policy == SnapshotPolicy::Replica {
+                // The forward may or may not have executed: the replica
+                // can no longer predict. Stale, not wrong.
+                if let Some(replica) = self.replicas.get_mut(&target.project_id) {
+                    replica.mark_stale();
+                    monitor.metrics.replica.increment("stale");
+                }
+            }
+            self.obs.ctx = Some(ReplayContext::DegradedForward);
+            let judgement = Judgement::degraded(
+                self.contract,
+                format!("forward failed in transport: {}", response.status),
+            );
+            self.response = Some(response);
+            return Err(judgement);
+        }
+        self.obs.forwarded = true;
+        self.obs.cloud_status = Some(response.status.0);
+
+        // Advance the replica's state machine from the observed
+        // request/response pair — for EVERY forwarded response, whatever
+        // the pre-verdict: a wrongly-accepted mutation still changed the
+        // cloud, and the replica tracks the cloud, not the contract. An
+        // unpredictable response (gateway status, unexpected shape)
+        // marks the replica stale inside.
+        if monitor.snapshot_policy == SnapshotPolicy::Replica {
+            let replica = self.replicas.entry(target.project_id).or_default();
+            let was_ready = replica.ready();
+            let predicted = replica.observe_response(
+                &self.contract.trigger.resource,
+                request.method,
+                target.volume_id,
+                target.snapshot_id,
+                &response,
+            );
+            if !predicted && was_ready {
+                monitor.metrics.replica.increment("stale");
+            }
+        }
+        let status = response.status;
+        self.response = Some(response);
+        Ok(status)
+    }
+
+    fn post_state(&mut self) -> Result<PostState, Judgement> {
+        let started = Instant::now();
+        let snap = self.post_snapshot();
+        self.obs.timings.snapshot += started.elapsed();
+        if snap.is_partial() {
+            self.obs.post_partial = true;
+            return Ok(PostState::Partial(snap.faults));
+        }
+        if self.obs.audit {
+            self.obs.post_env = Some(EnvSnapshot::capture(&snap.nav));
+        }
+        Ok(PostState::Observed(snap.nav))
+    }
+
+    fn timings(&mut self) -> &mut PhaseTimings {
+        &mut self.obs.timings
+    }
+}
+
+impl<S: SharedRestService> LiveObserver<'_, S> {
+    /// The post-state, normally straight from the forward's batch; a
+    /// standalone round runs only in replica mode, where the steady
+    /// state predicts it with zero probes.
+    fn post_snapshot(&mut self) -> Snapshot {
+        let monitor = self.monitor;
+        let ProbeTarget {
+            project_id: pid,
+            volume_id: vid,
+            snapshot_id: sid,
+            ..
+        } = *self.target;
+        if let Some(snap) = self.merged_post.take() {
+            // The replica probe path's post snapshot is ground truth
+            // after the mutation — absorb it.
+            if monitor.snapshot_policy == SnapshotPolicy::Replica && !snap.is_partial() {
+                self.replicas
+                    .entry(pid)
+                    .or_default()
+                    .absorb(pid, vid, &snap.nav);
+            }
+            return snap;
+        }
+        if monitor.snapshot_policy != SnapshotPolicy::Replica {
+            return monitor
+                .prober
+                .snapshot_with(&monitor.cloud, self.target, self.post_scope);
+        }
+        let replica = self.replicas.entry(pid).or_default();
+        if replica.ready() {
+            // Post-state predicted by the transition just applied;
+            // identity rides the stashed (cached) introspection. Zero
+            // probes.
+            let mut nav = replica.build_nav(pid, vid, sid);
+            match &self.replica_identity {
+                Some(introspection) => ProjectReplica::bind_identity(&mut nav, introspection),
+                None => ProjectReplica::bind_no_identity(&mut nav),
+            }
+            Snapshot {
+                nav,
+                denials: Vec::new(),
+                faults: Vec::new(),
+            }
+        } else {
+            // The response was unpredictable: on-demand reconciliation
+            // serves the post-state and re-seeds the replica.
+            monitor.metrics.replica.increment("miss");
+            let snap = monitor
+                .prober
+                .snapshot_with(&monitor.cloud, self.target, ProbeScope::Full);
+            if !snap.is_partial() {
+                replica.absorb(pid, vid, &snap.nav);
+            }
+            snap
+        }
     }
 }
 
@@ -2767,17 +2347,11 @@ mod snapshot_policy_tests {
     use cm_cloudsim::PrivateCloud;
 
     #[test]
-    fn minimal_policy_gives_same_verdicts_on_cinder() {
-        // The Cinder contracts reference all four roots, so Minimal and
-        // Full must agree everywhere (Minimal just proves no regression).
-        // Scoped prunes further — to attribute level — and must still
-        // agree because the compiler records every attribute a contract
-        // can read.
-        for policy in [
-            SnapshotPolicy::Full,
-            SnapshotPolicy::Minimal,
-            SnapshotPolicy::Scoped,
-        ] {
+    fn scoped_policy_gives_same_verdicts_as_full_on_cinder() {
+        // Scoped prunes the probes to attribute level and must still
+        // agree with Full because the compiler records every attribute a
+        // contract can read.
+        for policy in [SnapshotPolicy::Full, SnapshotPolicy::Scoped] {
             let cloud = PrivateCloud::my_project();
             let pid = cloud.project_id();
             let admin = cloud.issue_token("alice", "alice-pw").unwrap();
@@ -2872,56 +2446,6 @@ mod snapshot_policy_tests {
             }
             let over = monitor.process(&create("overflow"));
             assert_eq!(over.verdict, Verdict::PreBlocked, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn compiled_and_interpreter_strategies_agree_step_by_step() {
-        // Run the same request script through two monitors that differ
-        // only in evaluation strategy, comparing every outcome field the
-        // interpreter acts as the differential oracle for the compiler.
-        let build = |strategy: EvalStrategy| {
-            let cloud = PrivateCloud::my_project();
-            let pid = cloud.project_id();
-            let admin = cloud.issue_token("alice", "alice-pw").unwrap().token;
-            let carol = cloud.issue_token("carol", "carol-pw").unwrap().token;
-            let mut monitor = cinder_monitor(cloud)
-                .unwrap()
-                .mode(Mode::Observe)
-                .eval_strategy(strategy);
-            monitor.authenticate("alice", "alice-pw").unwrap();
-            (monitor, pid, admin, carol)
-        };
-        let (compiled, pid, admin, carol) = build(EvalStrategy::Compiled);
-        let (interp, _, _, _) = build(EvalStrategy::Interpreter);
-        let script: Vec<RestRequest> = vec![
-            RestRequest::new(HttpMethod::Post, format!("/v3/{pid}/volumes"))
-                .auth_token(&admin)
-                .json(Json::object(vec![(
-                    "volume",
-                    Json::object(vec![("name", Json::Str("v".into()))]),
-                )])),
-            RestRequest::new(HttpMethod::Get, format!("/v3/{pid}/volumes/1")).auth_token(&admin),
-            RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/1")).auth_token(&carol),
-            RestRequest::new(HttpMethod::Put, format!("/v3/{pid}/volumes/1"))
-                .auth_token(&admin)
-                .json(Json::object(vec![(
-                    "volume",
-                    Json::object(vec![("name", Json::Str("v2".into()))]),
-                )])),
-            RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/1")).auth_token(&admin),
-            RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/999"))
-                .auth_token(&admin),
-        ];
-        for req in &script {
-            let a = compiled.process(req);
-            let b = interp.process(req);
-            assert_eq!(a.verdict, b.verdict, "{req:?}");
-            assert_eq!(a.requirements, b.requirements, "{req:?}");
-            assert_eq!(a.response.status, b.response.status, "{req:?}");
-            let da = compiled.log().last().unwrap().diagnostics.clone();
-            let db = interp.log().last().unwrap().diagnostics.clone();
-            assert_eq!(da, db, "{req:?}");
         }
     }
 }

@@ -21,11 +21,9 @@ use std::time::{Duration, Instant};
 
 /// How much of the evaluation environment a snapshot materialises.
 #[derive(Debug, Clone, Copy)]
-enum ProbeScope<'a> {
-    /// Every probe request.
+pub enum ProbeScope<'a> {
+    /// Every probe request (the `SnapshotPolicy::Full` granularity).
     Full,
-    /// Whole context roots (the `SnapshotPolicy::Minimal` granularity).
-    Roots(&'a [String]),
     /// Individual `(root, attribute)` pairs from the compile-time
     /// analysis (the `SnapshotPolicy::Scoped` granularity).
     Attrs(&'a AttrScope),
@@ -36,7 +34,6 @@ impl ProbeScope<'_> {
     fn needs(self, root: &str, attr: &str) -> bool {
         match self {
             ProbeScope::Full => true,
-            ProbeScope::Roots(roots) => roots.iter().any(|r| r == root),
             ProbeScope::Attrs(s) => s.contains(root, attr),
         }
     }
@@ -45,7 +42,6 @@ impl ProbeScope<'_> {
     fn needs_other_than(self, root: &str, excluded: &str) -> bool {
         match self {
             ProbeScope::Full => true,
-            ProbeScope::Roots(roots) => roots.iter().any(|r| r == root),
             ProbeScope::Attrs(s) => s.contains_other_than(root, excluded),
         }
     }
@@ -54,7 +50,6 @@ impl ProbeScope<'_> {
     fn needs_any(self, root: &str) -> bool {
         match self {
             ProbeScope::Full => true,
-            ProbeScope::Roots(roots) => roots.iter().any(|r| r == root),
             ProbeScope::Attrs(s) => s.mentions_root(root),
         }
     }
@@ -364,142 +359,46 @@ impl StateProber {
         Ok(Arc::new(resp))
     }
 
-    /// Probe the cloud and build the evaluation environment as a
-    /// [`Snapshot`]: the navigator plus anomalous probe denials
+    /// Probe the cloud for `scope` and build the evaluation environment
+    /// as a [`Snapshot`]: the navigator plus anomalous probe denials
     /// (non-404 failures of the monitor's own GETs, answered by the
     /// cloud — a wrong-authorization signal the monitor reports) plus
     /// transport faults (probes the path to the cloud failed to
     /// deliver, making the snapshot partial).
-    pub fn snapshot_checked(
+    ///
+    /// At [`ProbeScope::Attrs`] granularity a probe request is issued
+    /// only when some `(root, attribute)` pair it would bind is in the
+    /// scope — the pairs the compiled contract's `pre()`/invariant
+    /// analysis recorded, the paper's "only the values that constitute
+    /// the guards and invariants". A contract that reads
+    /// `project.volumes` but never `project.id` skips the project GET
+    /// entirely; one that never mentions `volume.snapshots` skips the
+    /// snapshots listing even though it reads the volume item.
+    pub fn snapshot_with(
         &self,
         cloud: &dyn SharedRestService,
         target: &ProbeTarget,
+        scope: ProbeScope<'_>,
     ) -> Snapshot {
-        self.snapshot_impl(cloud, target, ProbeScope::Full, None).1
+        self.snapshot_impl(cloud, target, scope, None).1
     }
 
-    /// Forward `lead` to the cloud and take a full-granularity
-    /// post-state snapshot in the *same* pipelined batch
+    /// Forward `lead` to the cloud and take a post-state snapshot for
+    /// `scope` in the *same* pipelined batch
     /// ([`SharedRestService::call_batch`]). The backend serves a batch
     /// in order over one connection, so the probes observe the state
     /// *after* the lead call executed — semantically the sequential
     /// forward-then-snapshot, minus one full round of backend
     /// round-trips. Returns the lead's response plus the snapshot.
-    pub fn snapshot_checked_after(
+    pub fn snapshot_after(
         &self,
         cloud: &dyn SharedRestService,
         lead: &RestRequest,
         target: &ProbeTarget,
+        scope: ProbeScope<'_>,
     ) -> (RestResponse, Snapshot) {
-        let (resp, snap) = self.snapshot_impl(cloud, target, ProbeScope::Full, Some(lead));
+        let (resp, snap) = self.snapshot_impl(cloud, target, scope, Some(lead));
         (resp.expect("lead response present"), snap)
-    }
-
-    /// Like [`StateProber::snapshot_checked`], but probes only the context
-    /// roots in `scope` — the minimal set a contract actually navigates
-    /// (see `MethodContract::referenced_roots`). The paper's monitor
-    /// stores "only the values that constitute the guards and invariants";
-    /// scoped probing realises that: a contract that never mentions
-    /// `quota_sets` costs one fewer REST round-trip per snapshot.
-    pub fn snapshot_scoped(
-        &self,
-        cloud: &dyn SharedRestService,
-        target: &ProbeTarget,
-        scope: &[String],
-    ) -> Snapshot {
-        self.snapshot_impl(cloud, target, ProbeScope::Roots(scope), None)
-            .1
-    }
-
-    /// [`StateProber::snapshot_checked_after`] at root granularity.
-    pub fn snapshot_scoped_after(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        scope: &[String],
-    ) -> (RestResponse, Snapshot) {
-        let (resp, snap) = self.snapshot_impl(cloud, target, ProbeScope::Roots(scope), Some(lead));
-        (resp.expect("lead response present"), snap)
-    }
-
-    /// Like [`StateProber::snapshot_scoped`], but at *attribute*
-    /// granularity: probe requests are issued only when some
-    /// `(root, attribute)` pair they would bind is in `scope` — the pairs
-    /// the compiled contract's `pre()`/invariant analysis recorded. A
-    /// contract that reads `project.volumes` but never `project.id` skips
-    /// the project GET entirely; one that never mentions
-    /// `volume.snapshots` skips the snapshots listing even though it
-    /// reads the volume item.
-    pub fn snapshot_attrs(
-        &self,
-        cloud: &dyn SharedRestService,
-        target: &ProbeTarget,
-        scope: &AttrScope,
-    ) -> Snapshot {
-        self.snapshot_impl(cloud, target, ProbeScope::Attrs(scope), None)
-            .1
-    }
-
-    /// [`StateProber::snapshot_checked_after`] at attribute granularity.
-    pub fn snapshot_attrs_after(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        scope: &AttrScope,
-    ) -> (RestResponse, Snapshot) {
-        let (resp, snap) = self.snapshot_impl(cloud, target, ProbeScope::Attrs(scope), Some(lead));
-        (resp.expect("lead response present"), snap)
-    }
-
-    /// Full-granularity speculative sandwich: `[pre-probes…, lead,
-    /// post-probes…]` in one pipelined batch (see `sandwich_impl`).
-    /// Returns `(pre-snapshot, lead response, post-snapshot)`. Only
-    /// sound for *safe* (read-only) lead methods.
-    pub fn snapshot_sandwich_checked(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-    ) -> (Snapshot, RestResponse, Snapshot) {
-        self.sandwich_impl(cloud, lead, target, ProbeScope::Full, ProbeScope::Full)
-    }
-
-    /// [`StateProber::snapshot_sandwich_checked`] at root granularity.
-    pub fn snapshot_sandwich_scoped(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        scope: &[String],
-    ) -> (Snapshot, RestResponse, Snapshot) {
-        self.sandwich_impl(
-            cloud,
-            lead,
-            target,
-            ProbeScope::Roots(scope),
-            ProbeScope::Roots(scope),
-        )
-    }
-
-    /// [`StateProber::snapshot_sandwich_checked`] at attribute
-    /// granularity, with separate pre- and post-phase scopes.
-    pub fn snapshot_sandwich_attrs(
-        &self,
-        cloud: &dyn SharedRestService,
-        lead: &RestRequest,
-        target: &ProbeTarget,
-        pre_scope: &AttrScope,
-        post_scope: &AttrScope,
-    ) -> (Snapshot, RestResponse, Snapshot) {
-        self.sandwich_impl(
-            cloud,
-            lead,
-            target,
-            ProbeScope::Attrs(pre_scope),
-            ProbeScope::Attrs(post_scope),
-        )
     }
 
     /// Probe the cloud and build the evaluation environment.
@@ -569,8 +468,9 @@ impl StateProber {
     /// The caller is responsible for only sandwiching *safe* methods
     /// (RFC 7231 §4.2.1: GET/HEAD): the lead reaches the cloud before
     /// any verdict on the pre-state is computed, which is only sound
-    /// when the lead cannot change state.
-    fn sandwich_impl(
+    /// when the lead cannot change state. Returns `(pre-snapshot, lead
+    /// response, post-snapshot)`.
+    pub fn snapshot_sandwich(
         &self,
         cloud: &dyn SharedRestService,
         lead: &RestRequest,
@@ -1143,7 +1043,7 @@ mod tests {
         }
         let (cloud, target) = setup();
         let flaky = FlakyListing { inner: cloud };
-        let snap = StateProber::default().snapshot_checked(&flaky, &target);
+        let snap = StateProber::default().snapshot_with(&flaky, &target, ProbeScope::Full);
         assert!(snap.is_partial());
         assert_eq!(snap.faults.len(), 1);
         let fault = &snap.faults[0];
@@ -1172,7 +1072,11 @@ mod tests {
             }
         }
         let (cloud, target) = setup();
-        let snap = StateProber::default().snapshot_checked(&Gateway504 { inner: cloud }, &target);
+        let snap = StateProber::default().snapshot_with(
+            &Gateway504 { inner: cloud },
+            &target,
+            ProbeScope::Full,
+        );
         assert_eq!(snap.faults.len(), 1);
         assert_eq!(snap.faults[0].status, 504);
         assert!(snap.denials.is_empty());
@@ -1257,10 +1161,11 @@ mod scoped_tests {
     }
 
     #[test]
-    fn scoped_snapshot_skips_unreferenced_roots() {
+    fn wildcard_scope_skips_unreferenced_roots() {
         let (cloud, target) = setup();
         let prober = StateProber::default();
-        let snap = prober.snapshot_scoped(&cloud, &target, &["project".to_string()]);
+        let scope = cm_ocl::AttrScope::wildcard(&["project".to_string()]);
+        let snap = prober.snapshot_with(&cloud, &target, ProbeScope::Attrs(&scope));
         assert!(snap.denials.is_empty());
         assert!(!snap.is_partial());
         let nav = snap.nav;
@@ -1285,7 +1190,7 @@ mod scoped_tests {
             ],
             true,
         );
-        let snap = prober.snapshot_attrs(&cloud, &target, &scope);
+        let snap = prober.snapshot_with(&cloud, &target, ProbeScope::Attrs(&scope));
         assert!(snap.denials.is_empty());
         let nav = snap.nav;
         // Volumes listing + token introspection only: no project GET, no
@@ -1306,14 +1211,16 @@ mod scoped_tests {
         // listing does not.
         let scope =
             cm_ocl::AttrScope::new(vec![("volume".to_string(), "status".to_string())], true);
-        let _ = prober.snapshot_attrs(&cloud, &target, &scope);
+        let _ = prober.snapshot_with(&cloud, &target, ProbeScope::Attrs(&scope));
         assert_eq!(cloud.requests.load(std::sync::atomic::Ordering::Relaxed), 1);
 
         // Only volume.snapshots: the listing runs, the item GET does not.
         let (cloud2, target2) = setup();
         let scope2 =
             cm_ocl::AttrScope::new(vec![("volume".to_string(), "snapshots".to_string())], true);
-        let nav = prober.snapshot_attrs(&cloud2, &target2, &scope2).nav;
+        let nav = prober
+            .snapshot_with(&cloud2, &target2, ProbeScope::Attrs(&scope2))
+            .nav;
         assert_eq!(
             cloud2.requests.load(std::sync::atomic::Ordering::Relaxed),
             1
@@ -1327,26 +1234,23 @@ mod scoped_tests {
         let (cloud, target) = setup();
         let prober = StateProber::default();
         let scope = cm_ocl::AttrScope::wildcard(&["volume".to_string()]);
-        let _ = prober.snapshot_attrs(&cloud, &target, &scope);
-        // Wildcard volume = item GET + snapshots listing, like Roots.
+        let _ = prober.snapshot_with(&cloud, &target, ProbeScope::Attrs(&scope));
+        // Wildcard volume = item GET + snapshots listing.
         assert_eq!(cloud.requests.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     #[test]
-    fn scoped_snapshot_with_all_roots_equals_full() {
+    fn wildcard_scope_over_all_roots_equals_full() {
         let (cloud, target) = setup();
         let prober = StateProber::default();
         let full = prober.snapshot(&cloud, &target);
-        let scoped = prober.snapshot_scoped(
-            &cloud,
-            &target,
-            &[
-                "project".to_string(),
-                "volume".to_string(),
-                "quota_sets".to_string(),
-                "user".to_string(),
-            ],
-        );
+        let scope = cm_ocl::AttrScope::wildcard(&[
+            "project".to_string(),
+            "volume".to_string(),
+            "quota_sets".to_string(),
+            "user".to_string(),
+        ]);
+        let scoped = prober.snapshot_with(&cloud, &target, ProbeScope::Attrs(&scope));
         assert_eq!(full, scoped.nav);
     }
 }

@@ -3,11 +3,12 @@
 //!
 //! An [`cm_audit::AuditRecord`] carries the serialized pre/post OCL
 //! environments the monitor observed, so a trace can be re-judged
-//! without a live cloud: [`ReplayEngine`] rebuilds each environment,
-//! runs the (possibly updated) compiled contracts over it, and
-//! reclassifies with the same decision procedure `CloudMonitor::process`
-//! uses. `cmcli audit replay` diffs the result against the recorded
-//! verdicts — a changed contract set surfaces *diffs*, never errors.
+//! without a live cloud: [`ReplayEngine`] rebuilds each environment and
+//! hands it, with the recorded forward facts, to the decision procedure
+//! `CloudMonitor::process` itself judges with (`crate::judge`), under
+//! the (possibly updated) contracts. `cmcli audit replay` diffs the
+//! result against the recorded verdicts — a changed contract set
+//! surfaces *diffs*, never errors.
 //!
 //! Replay cannot reproduce what was never observed: a record whose
 //! context lacks the facts a branch needs (never forwarded, no post
@@ -15,13 +16,13 @@
 //! as a diff (the new contract set demands evidence the old trace does
 //! not hold) rather than a failure.
 
-use crate::monitor::{expected_success_status, MonitorBuildError};
-use cm_audit::{AuditRecord, MonitorMode, ReplayContext, VerdictCode};
-use cm_contracts::{
-    generate_with, CompiledContractSet, ContractSet, GenerateOptions, MethodContract,
-};
+use crate::judge::{judge, merge_contracts, Case, Observer, PostState};
+use crate::monitor::{Mode, MonitorBuildError};
+use cm_audit::{AuditRecord, EnvSnapshot, MonitorMode, ReplayContext, VerdictCode};
+use cm_contracts::{CompiledContractSet, ContractSet, MethodContract};
 use cm_model::{BehavioralModel, HttpMethod, Trigger};
-use cm_ocl::{EnvView, EvalScratch};
+use cm_obs::PhaseTimings;
+use cm_ocl::EvalScratch;
 use cm_rbac::SecurityRequirementsTable;
 use cm_rest::{Json, StatusCode};
 
@@ -206,10 +207,9 @@ impl ReplayEngine {
         }
     }
 
-    /// Generate and merge contracts from behavioural models, mirroring
-    /// `CloudMonitor::generate_multi` (same options, same merge rules),
-    /// so replaying against unchanged models reproduces the monitor's
-    /// verdicts exactly.
+    /// Generate and merge contracts from behavioural models exactly as
+    /// `CloudMonitor::generate_multi` does, so replaying against
+    /// unchanged models reproduces the monitor's verdicts.
     ///
     /// # Errors
     ///
@@ -218,30 +218,9 @@ impl ReplayEngine {
         behaviors: &[&BehavioralModel],
         security: Option<&SecurityRequirementsTable>,
     ) -> Result<Self, MonitorBuildError> {
-        let mut merged = ContractSet::default();
-        for behavior in behaviors {
-            let set = generate_with(
-                behavior,
-                &GenerateOptions {
-                    security,
-                    simplify: false,
-                },
-            )
-            .map_err(|e| MonitorBuildError { message: e.message })?;
-            for contract in set.contracts {
-                if merged.contract_for(&contract.trigger).is_some() {
-                    return Err(MonitorBuildError {
-                        message: format!(
-                            "trigger {} is modelled by more than one state machine",
-                            contract.trigger
-                        ),
-                    });
-                }
-                merged.contracts.push(contract);
-            }
-            merged.states.extend(set.states);
-        }
-        Ok(Self::from_contract_set(merged))
+        Ok(Self::from_contract_set(merge_contracts(
+            behaviors, security,
+        )?))
     }
 
     /// The contract set replay judges against.
@@ -276,9 +255,9 @@ impl ReplayEngine {
         Some((idx, &self.contracts.contracts[idx]))
     }
 
-    /// Re-classify one record. Follows `CloudMonitor::process_inner`
-    /// branch for branch, with the recorded transport facts standing in
-    /// for the live cloud.
+    /// Re-classify one record. The branches the transport or the route
+    /// table decided are mapped structurally; a checked record's
+    /// recorded facts go to the live monitor's decision procedure.
     pub fn replay_record(&mut self, record: &AuditRecord) -> ReplayOutcome {
         match &record.context {
             ReplayContext::Unmodelled => {
@@ -302,29 +281,25 @@ impl ReplayEngine {
             ReplayContext::BadTarget => {
                 ReplayOutcome::verdict(VerdictCode::ContractError, Vec::new())
             }
-            ReplayContext::DegradedPre { .. } | ReplayContext::DegradedForward => {
-                // The transport, not the contracts, decided these: the
-                // verdict stays Degraded, but attribution follows the
-                // *current* contract's requirements.
+            ReplayContext::DegradedPre { .. }
+            | ReplayContext::DegradedForward
+            | ReplayContext::Drift { .. } => {
+                // The transport or an anti-entropy pass, not the
+                // contracts, decided these: a drift record carries no
+                // evaluation environment to re-judge. The verdict stays;
+                // attribution follows the *current* contract set.
+                let drift = matches!(record.context, ReplayContext::Drift { .. });
+                let verdict = if drift {
+                    VerdictCode::Drift
+                } else {
+                    VerdictCode::Degraded
+                };
                 match self.contract_for(record) {
-                    Some((_, contract)) => ReplayOutcome::verdict(
-                        VerdictCode::Degraded,
-                        contract.security_requirements.clone(),
-                    ),
+                    Some((_, contract)) => {
+                        ReplayOutcome::verdict(verdict, contract.security_requirements.clone())
+                    }
+                    None if drift => ReplayOutcome::verdict(verdict, record.requirements.clone()),
                     None => ReplayOutcome::verdict(VerdictCode::NotModelled, Vec::new()),
-                }
-            }
-            ReplayContext::Drift { .. } => {
-                // A drift record carries no evaluation environment to
-                // re-judge — it is the anti-entropy pass's observation,
-                // not a contract decision. Attribution follows the
-                // current contract set like the degraded arms.
-                match self.contract_for(record) {
-                    Some((_, contract)) => ReplayOutcome::verdict(
-                        VerdictCode::Drift,
-                        contract.security_requirements.clone(),
-                    ),
-                    None => ReplayOutcome::verdict(VerdictCode::Drift, record.requirements.clone()),
                 }
             }
             ReplayContext::Checked {
@@ -341,138 +316,76 @@ impl ReplayEngine {
                 let Some((idx, _)) = self.contract_for(record) else {
                     return ReplayOutcome::verdict(VerdictCode::NotModelled, Vec::new());
                 };
-                let contract = &self.contracts.contracts[idx];
-                let compiled = &self.compiled.contracts()[idx];
-                let syms = self.compiled.symbols();
-                let scratch = &mut self.scratch;
-                let method: HttpMethod = match record.method.parse() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        return ReplayOutcome::Indeterminate(format!(
-                            "unknown method {:?}",
-                            record.method
-                        ))
-                    }
+                let case = Case {
+                    contracts: &self.contracts,
+                    compiled: &self.compiled,
+                    idx,
+                    mode: match record.mode {
+                        MonitorMode::Enforce => Mode::Enforce,
+                        MonitorMode::Observe => Mode::Observe,
+                    },
+                    // Replay compares verdicts and requirements, not
+                    // the `state:` diagnostics.
+                    report_states: false,
                 };
-
-                let pre_nav = pre_env.to_navigator();
-                let pre_view = EnvView::from_navigator(&pre_nav, syms);
-                compiled.begin_pre(scratch);
-                let pre_ok = match compiled.evaluate_pre(syms, &pre_view, scratch) {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return ReplayOutcome::verdict(VerdictCode::ContractError, Vec::new())
-                    }
+                let mut recorded = Recorded {
+                    forwarded: *forwarded,
+                    cloud_status: *cloud_status,
+                    post_env: post_env.as_ref(),
+                    post_partial: *post_partial,
+                    timings: PhaseTimings::default(),
                 };
-                // Same enabled-clause attribution as the monitor's
-                // compiled path (memo table still warm from the pre).
-                let requirements = compiled
-                    .enabled_clause_indices(syms, &pre_view, scratch)
-                    .map(|idxs| {
-                        let mut out: Vec<String> = Vec::new();
-                        for i in idxs {
-                            for r in &contract.clauses[i].security_requirements {
-                                if !out.contains(r) {
-                                    out.push(r.clone());
-                                }
-                            }
-                        }
-                        out
-                    })
-                    .unwrap_or_default();
-
-                if record.mode == MonitorMode::Enforce && !pre_ok {
-                    return ReplayOutcome::verdict(
-                        VerdictCode::PreBlocked,
-                        contract.security_requirements.clone(),
-                    );
+                match judge(
+                    &case,
+                    &pre_env.to_navigator(),
+                    probe_denials,
+                    &mut self.scratch,
+                    &mut recorded,
+                ) {
+                    Ok(judgement) => {
+                        ReplayOutcome::verdict(judgement.verdict, judgement.requirements)
+                    }
+                    Err(reason) => ReplayOutcome::Indeterminate(reason),
                 }
-                if !forwarded {
-                    return ReplayOutcome::Indeterminate(
-                        "not forwarded in the recorded trace".into(),
-                    );
-                }
-                let Some(status) = *cloud_status else {
-                    return ReplayOutcome::Indeterminate("no cloud response recorded".into());
-                };
-                let status = StatusCode(status);
-                let success = status.is_success();
-
-                let verdict = if pre_ok && success {
-                    let expected = expected_success_status(method);
-                    if status != expected {
-                        VerdictCode::WrongStatus {
-                            expected: expected.0,
-                            actual: status.0,
-                        }
-                    } else if *post_partial {
-                        return ReplayOutcome::verdict(
-                            VerdictCode::Degraded,
-                            contract.security_requirements.clone(),
-                        );
-                    } else {
-                        let Some(post_env) = post_env else {
-                            return ReplayOutcome::Indeterminate("no post-state recorded".into());
-                        };
-                        let post_nav = post_env.to_navigator();
-                        let post_view = EnvView::from_navigator(&post_nav, syms);
-                        compiled.begin_post(scratch);
-                        match compiled.evaluate_post(syms, &post_view, &pre_view, scratch) {
-                            Ok(true) => VerdictCode::Pass,
-                            Ok(false) => VerdictCode::PostViolation,
-                            Err(_) => VerdictCode::ContractError,
-                        }
-                    }
-                } else if pre_ok && status.is_gateway_error() {
-                    // The monitor's gateway disambiguation: only a
-                    // holding post-condition convicts; everything else
-                    // is indistinguishable from transport weather.
-                    let executed = if *post_partial {
-                        false
-                    } else if let Some(post_env) = post_env {
-                        let post_nav = post_env.to_navigator();
-                        let post_view = EnvView::from_navigator(&post_nav, syms);
-                        compiled.begin_post(scratch);
-                        compiled
-                            .evaluate_post(syms, &post_view, &pre_view, scratch)
-                            .unwrap_or(false)
-                    } else {
-                        false
-                    };
-                    if executed {
-                        VerdictCode::WrongStatus {
-                            expected: expected_success_status(method).0,
-                            actual: status.0,
-                        }
-                    } else {
-                        return ReplayOutcome::verdict(
-                            VerdictCode::Degraded,
-                            contract.security_requirements.clone(),
-                        );
-                    }
-                } else if pre_ok {
-                    VerdictCode::WrongDenial
-                } else if success {
-                    VerdictCode::WrongAcceptance
-                } else {
-                    VerdictCode::Pass
-                };
-
-                // Denied monitor probes surface as wrong denials even on
-                // an otherwise-passing request (monitor parity).
-                let verdict = if verdict == VerdictCode::Pass && !probe_denials.is_empty() {
-                    VerdictCode::WrongDenial
-                } else {
-                    verdict
-                };
-                let requirements = if verdict.is_violation() && requirements.is_empty() {
-                    contract.security_requirements.clone()
-                } else {
-                    requirements
-                };
-                ReplayOutcome::verdict(verdict, requirements)
             }
         }
+    }
+}
+
+/// The facts a checked audit record holds about what happened after
+/// the pre-check, standing in for the live cloud.
+struct Recorded<'a> {
+    forwarded: bool,
+    cloud_status: Option<u16>,
+    post_env: Option<&'a EnvSnapshot>,
+    post_partial: bool,
+    timings: PhaseTimings,
+}
+
+impl Observer for Recorded<'_> {
+    /// Why the record cannot settle the verdict.
+    type Halt = String;
+
+    fn forward(&mut self, _pre_ok: bool) -> Result<StatusCode, String> {
+        if !self.forwarded {
+            return Err("not forwarded in the recorded trace".into());
+        }
+        self.cloud_status
+            .map(StatusCode)
+            .ok_or_else(|| "no cloud response recorded".into())
+    }
+
+    fn post_state(&mut self) -> Result<PostState, String> {
+        if self.post_partial {
+            return Ok(PostState::Partial(Vec::new()));
+        }
+        self.post_env
+            .map(|env| PostState::Observed(env.to_navigator()))
+            .ok_or_else(|| "no post-state recorded".into())
+    }
+
+    fn timings(&mut self) -> &mut PhaseTimings {
+        &mut self.timings
     }
 }
 

@@ -592,7 +592,7 @@ impl ProjectReplica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{ProbeTarget, StateProber};
+    use crate::probe::{ProbeScope, ProbeTarget, StateProber};
     use cm_cloudsim::PrivateCloud;
     use cm_rest::StatusCode;
 
@@ -606,7 +606,7 @@ mod tests {
             user_token: carol.token,
             monitor_token: admin.token,
         };
-        let snap = StateProber::default().snapshot_checked(cloud, &target);
+        let snap = StateProber::default().snapshot_with(cloud, &target, ProbeScope::Full);
         assert!(!snap.is_partial());
         let mut replica = ProjectReplica::new();
         replica.absorb(target.project_id, vid, &snap.nav);
@@ -616,7 +616,7 @@ mod tests {
     /// The replica-built navigator must agree with a fresh probe-built
     /// one on every binding except `user` (bound separately).
     fn assert_nav_parity(replica: &ProjectReplica, cloud: &PrivateCloud, target: &ProbeTarget) {
-        let probed = StateProber::default().snapshot_checked(cloud, target);
+        let probed = StateProber::default().snapshot_with(cloud, target, ProbeScope::Full);
         let mut built = replica.build_nav(target.project_id, target.volume_id, target.snapshot_id);
         // Graft the probe's user bindings onto the replica nav so the
         // comparison covers only replica-owned bindings.
@@ -656,7 +656,7 @@ mod tests {
         // variable but no attributes, and snapshots are the empty set.
         target.volume_id = Some(999);
         let (replica, target) = {
-            let snap = StateProber::default().snapshot_checked(&cloud, &target);
+            let snap = StateProber::default().snapshot_with(&cloud, &target, ProbeScope::Full);
             let mut r = ProjectReplica::new();
             r.absorb(target.project_id, target.volume_id, &snap.nav);
             (r, target)
@@ -728,11 +728,11 @@ mod tests {
             .id;
         let (replica, target) = seeded(&cloud, Some(vid));
         // Clean diff first.
-        let snap = StateProber::default().snapshot_checked(&cloud, &target);
+        let snap = StateProber::default().snapshot_with(&cloud, &target, ProbeScope::Full);
         assert!(replica.diff(pid, Some(vid), &snap.nav).is_empty());
         // Out-of-band: flip the volume's status behind the monitor.
         cloud.state_mut().volume_mut(pid, vid).unwrap().status = cm_cloudsim::VolumeStatus::Error;
-        let snap = StateProber::default().snapshot_checked(&cloud, &target);
+        let snap = StateProber::default().snapshot_with(&cloud, &target, ProbeScope::Full);
         let drift = replica.diff(pid, Some(vid), &snap.nav);
         assert_eq!(drift.len(), 1, "{drift:?}");
         assert_eq!(drift[0].root, "volume");

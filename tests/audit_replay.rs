@@ -1,34 +1,61 @@
 //! Differential replay: a recorded monitor session re-evaluated by
 //! [`cm_core::ReplayEngine`] against the *same* contract set must
-//! reproduce the verdict sequence exactly — including `Degraded`
-//! verdicts and requirement ids — and against a *mutated* contract set
-//! must surface diffs, never errors.
+//! reproduce the verdict sequence exactly — every verdict the shared
+//! judge can give, including `Degraded`, with its requirement ids — and
+//! against a *mutated* contract set must surface diffs, never errors.
 
-use cm_audit::{AuditRecorder, MemoryRecorder, VerdictCode};
-use cm_cloudsim::PrivateCloud;
-use cm_core::{cinder_monitor, Mode, ReplayEngine, Verdict};
+use cm_audit::{AuditRecord, AuditRecorder, MemoryRecorder, ReplayContext, VerdictCode};
+use cm_cloudsim::{Fault, FaultPlan, PrivateCloud};
+use cm_core::{cinder_monitor, CloudMonitor, Mode, ReplayEngine, Verdict};
 use cm_model::{cinder, HttpMethod};
+use cm_rbac::Rule;
 use cm_rest::{Json, RestRequest, RestResponse, SharedRestService, StatusCode};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// Pass-through cloud that, once armed, fails every model-state probe
-/// (GETs under `/v3`) with a transport fault — the recorded session's
-/// source of honest `Degraded` verdicts.
-struct FlakyProbes {
+#[path = "support/reinterpret.rs"]
+mod reinterpret;
+
+/// Clear skies: every request reaches the cloud.
+const CLEAR: u8 = 0;
+/// Every model-state probe (GET under `/v3`) fails with a transport
+/// fault — the source of honest pre-snapshot `Degraded` verdicts.
+const PROBES_DARK: u8 = 1;
+/// Probes fail only once a mutating call has gone through: the
+/// post-snapshot comes back partial.
+const POST_DARK: u8 = 2;
+/// The cloud itself denies the next volume-item read (403): the
+/// monitor's pre-snapshot probe, since it runs before the forward.
+const ITEM_DENIED_ONCE: u8 = 3;
+
+/// Pass-through cloud whose weather the test sets between requests.
+struct Weathered {
     inner: PrivateCloud,
-    armed: AtomicBool,
+    weather: AtomicU8,
+    mutated: AtomicBool,
 }
 
-impl SharedRestService for FlakyProbes {
+impl SharedRestService for Weathered {
     fn call(&self, request: &RestRequest) -> RestResponse {
-        if self.armed.load(Ordering::Relaxed)
-            && request.method == HttpMethod::Get
-            && request.path.starts_with("/v3")
-        {
-            return RestResponse::transport_fault(StatusCode::BAD_GATEWAY, "probe fault");
+        let probe = request.method == HttpMethod::Get && request.path.starts_with("/v3");
+        match self.weather.load(Ordering::Relaxed) {
+            PROBES_DARK if probe => {
+                RestResponse::transport_fault(StatusCode::BAD_GATEWAY, "probe fault")
+            }
+            POST_DARK if probe && self.mutated.load(Ordering::Relaxed) => {
+                RestResponse::transport_fault(StatusCode::BAD_GATEWAY, "post probe fault")
+            }
+            ITEM_DENIED_ONCE if probe && request.path.contains("/volumes/") => {
+                self.weather.store(CLEAR, Ordering::Relaxed);
+                RestResponse::error(StatusCode::FORBIDDEN, "volume read denied")
+            }
+            weather => {
+                if weather == POST_DARK && request.method != HttpMethod::Get {
+                    self.mutated.store(true, Ordering::Relaxed);
+                }
+                self.inner.call(request)
+            }
         }
-        self.inner.call(request)
     }
 }
 
@@ -42,63 +69,164 @@ fn volume_body(name: &str) -> Json {
     )])
 }
 
-/// Run a monitor_e2e-style session with a tee into [`MemoryRecorder`]
+/// One monitor over its own (possibly mutated) cloud, recording into a
+/// shared audit trail.
+struct Session {
+    monitor: CloudMonitor<Weathered>,
+    pid: u64,
+    admin: String,
+    bob: String,
+    carol: String,
+}
+
+impl Session {
+    fn new(mode: Mode, faults: FaultPlan, recorder: &Arc<MemoryRecorder>) -> Session {
+        let cloud = PrivateCloud::my_project().with_faults(faults);
+        let pid = cloud.project_id();
+        let token = |user: &str| {
+            cloud
+                .issue_token(user, &format!("{user}-pw"))
+                .unwrap()
+                .token
+        };
+        let (admin, bob, carol) = (token("alice"), token("bob"), token("carol"));
+        let mut monitor = cinder_monitor(Weathered {
+            inner: cloud,
+            weather: AtomicU8::new(CLEAR),
+            mutated: AtomicBool::new(false),
+        })
+        .unwrap()
+        .mode(mode)
+        .audit_recorder(Arc::clone(recorder) as Arc<dyn AuditRecorder>);
+        monitor.authenticate("alice", "alice-pw").unwrap();
+        Session {
+            monitor,
+            pid,
+            admin,
+            bob,
+            carol,
+        }
+    }
+
+    /// Seed a volume behind the monitor's back.
+    fn volume(&self) -> u64 {
+        let cloud = &self.monitor.cloud().inner;
+        let id = cloud
+            .state_mut()
+            .create_volume(self.pid, "seed", 1, false)
+            .unwrap()
+            .id;
+        id
+    }
+
+    fn weather(&self, weather: u8) {
+        self.monitor
+            .cloud()
+            .weather
+            .store(weather, Ordering::Relaxed);
+    }
+
+    fn delete(&self, token: &str, vid: u64) -> Verdict {
+        let path = format!("/v3/{}/volumes/{vid}", self.pid);
+        self.monitor
+            .process(&RestRequest::new(HttpMethod::Delete, path).auth_token(token))
+            .verdict
+    }
+}
+
+/// Run monitor sessions that reach every verdict the shared judge can
+/// give — Enforce mode against a correct cloud, Observe mode against
+/// mutants and sick transports — with a tee into [`MemoryRecorder`],
 /// and return the captured trace plus the verdicts the live monitor
 /// actually returned.
-fn recorded_session() -> (Vec<cm_audit::AuditRecord>, Vec<Verdict>) {
-    let cloud = PrivateCloud::my_project();
-    let pid = cloud.project_id();
-    let admin = cloud.issue_token("alice", "alice-pw").unwrap().token;
-    let carol = cloud.issue_token("carol", "carol-pw").unwrap().token;
-    let seeded = cloud
-        .state_mut()
-        .create_volume(pid, "s", 1, false)
-        .unwrap()
-        .id;
-    let victim = cloud
-        .state_mut()
-        .create_volume(pid, "t", 1, false)
-        .unwrap()
-        .id;
-
+fn recorded_session() -> (Vec<AuditRecord>, Vec<Verdict>) {
     let recorder = Arc::new(MemoryRecorder::new());
-    let mut monitor = cinder_monitor(FlakyProbes {
-        inner: cloud,
-        armed: AtomicBool::new(false),
-    })
-    .unwrap()
-    .mode(Mode::Enforce)
-    .audit_recorder(Arc::clone(&recorder) as Arc<dyn AuditRecorder>);
-    monitor.authenticate("alice", "alice-pw").unwrap();
-
     let mut verdicts = Vec::new();
-    let mut run = |req: &RestRequest| {
-        verdicts.push(monitor.process(req).verdict);
-    };
 
+    let s = Session::new(Mode::Enforce, FaultPlan::none(), &recorder);
+    let (pid, seeded, victim) = (s.pid, s.volume(), s.volume());
     // 1. Modelled create: Pass (201).
-    run(
-        &RestRequest::new(HttpMethod::Post, format!("/v3/{pid}/volumes"))
-            .auth_token(&admin)
-            .json(volume_body("rec")),
+    verdicts.push(
+        s.monitor
+            .process(
+                &RestRequest::new(HttpMethod::Post, format!("/v3/{pid}/volumes"))
+                    .auth_token(&s.admin)
+                    .json(volume_body("rec")),
+            )
+            .verdict,
     );
     // 2. Unauthorized delete: PreBlocked (enforce).
-    run(
-        &RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/{seeded}"))
-            .auth_token(&carol),
-    );
+    verdicts.push(s.delete(&s.carol, seeded));
     // 3. Authorized delete: Pass (204).
-    run(
-        &RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/{seeded}"))
-            .auth_token(&admin),
-    );
+    verdicts.push(s.delete(&s.admin, seeded));
     // 4. Unmodelled read (no `limits` resource in the model): proxied.
-    run(&RestRequest::new(HttpMethod::Get, format!("/v3/{pid}/limits")).auth_token(&admin));
+    verdicts.push(
+        s.monitor
+            .process(
+                &RestRequest::new(HttpMethod::Get, format!("/v3/{pid}/limits"))
+                    .auth_token(&s.admin),
+            )
+            .verdict,
+    );
     // 5. Probes go dark: authorized delete degrades (fail-closed).
-    monitor.cloud().armed.store(true, Ordering::Relaxed);
-    run(
-        &RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/{victim}"))
-            .auth_token(&admin),
+    s.weather(PROBES_DARK);
+    verdicts.push(s.delete(&s.admin, victim));
+
+    // 6. Policy mutant lets a member delete: WrongAcceptance.
+    let s = Session::new(
+        Mode::Observe,
+        FaultPlan::single(Fault::PolicyOverride {
+            action: "volume:delete".into(),
+            rule: Rule::any_role(["admin", "member"]),
+        }),
+        &recorder,
+    );
+    verdicts.push(s.delete(&s.bob, s.volume()));
+    // 7. Lost update: the delete reports success but the volume stays.
+    let s = Session::new(
+        Mode::Observe,
+        FaultPlan::single(Fault::DropStateChange {
+            action: "volume:delete".into(),
+        }),
+        &recorder,
+    );
+    verdicts.push(s.delete(&s.admin, s.volume()));
+    // 8. 200 instead of 204: WrongStatus.
+    let s = Session::new(
+        Mode::Observe,
+        FaultPlan::single(Fault::WrongStatusCode {
+            action: "volume:delete".into(),
+            code: 200,
+        }),
+        &recorder,
+    );
+    verdicts.push(s.delete(&s.admin, s.volume()));
+    // 9. An executed delete masked behind a bare 503: WrongStatus, not
+    //    transport weather, because the post-condition holds.
+    let s = Session::new(
+        Mode::Observe,
+        FaultPlan::single(Fault::WrongStatusCode {
+            action: "volume:delete".into(),
+            code: 503,
+        }),
+        &recorder,
+    );
+    verdicts.push(s.delete(&s.admin, s.volume()));
+    // 10. The post-snapshot comes back partial: Degraded.
+    let s = Session::new(Mode::Observe, FaultPlan::none(), &recorder);
+    s.weather(POST_DARK);
+    verdicts.push(s.delete(&s.admin, s.volume()));
+    // 11. The cloud denies the monitor's item probe: a read that
+    //     otherwise passes is a WrongDenial.
+    let vid = s.volume();
+    s.weather(ITEM_DENIED_ONCE);
+    verdicts.push(
+        s.monitor
+            .process(
+                &RestRequest::new(HttpMethod::Get, format!("/v3/{}/volumes/{vid}", s.pid))
+                    .auth_token(&s.admin),
+            )
+            .verdict,
     );
 
     assert_eq!(
@@ -109,6 +237,18 @@ fn recorded_session() -> (Vec<cm_audit::AuditRecord>, Vec<Verdict>) {
             Verdict::Pass,
             Verdict::NotModelled,
             Verdict::Degraded,
+            Verdict::WrongAcceptance,
+            Verdict::PostViolation,
+            Verdict::WrongStatus {
+                expected: 204,
+                actual: 200
+            },
+            Verdict::WrongStatus {
+                expected: 204,
+                actual: 503
+            },
+            Verdict::Degraded,
+            Verdict::WrongDenial,
         ],
         "live session did not produce the expected verdict mix"
     );
@@ -136,16 +276,70 @@ fn replay_against_same_contracts_reproduces_the_session() {
     assert_eq!(report.matched(), records.len());
     // Verdict-for-verdict, including Degraded, and requirement ids.
     for (entry, (record, live)) in report.entries.iter().zip(records.iter().zip(&verdicts)) {
-        assert_eq!(entry.recorded, VerdictCode::from(live));
+        assert_eq!(&entry.recorded, live);
         let replayed = entry.replayed.as_verdict().expect("no indeterminates");
         assert_eq!(replayed, &record.verdict, "seq {}", record.seq);
     }
-    // The degraded record carried Table-I requirement ids and replay
+    // The degraded records carried Table-I requirement ids and replay
     // re-derived the same set (is_clean already compared them; spot-
     // check the traceability id survives the round trip).
-    let degraded = records.last().unwrap();
-    assert_eq!(degraded.verdict, VerdictCode::Degraded);
-    assert!(degraded.requirements.contains(&"1.4".to_string()));
+    let degraded: Vec<&AuditRecord> = records
+        .iter()
+        .filter(|r| r.verdict == VerdictCode::Degraded)
+        .collect();
+    assert_eq!(degraded.len(), 2);
+    for record in degraded {
+        assert!(record.requirements.contains(&"1.4".to_string()));
+    }
+    // The partial post-snapshot was recorded as such, and replayed to
+    // Degraded from that fact alone.
+    assert!(records.iter().any(|r| matches!(
+        r.context,
+        ReplayContext::Checked {
+            post_partial: true,
+            ..
+        }
+    )));
+}
+
+#[test]
+fn compiled_verdicts_reinterpret_identically_step_by_step() {
+    // The monitor evaluates only compiled programs; the interpreter
+    // re-evaluates every environment it recorded, request by request.
+    let recorder = Arc::new(MemoryRecorder::new());
+    let s = Session::new(Mode::Observe, FaultPlan::none(), &recorder);
+    let pid = s.pid;
+    let volume = |name: &str| {
+        Json::object(vec![(
+            "volume",
+            Json::object(vec![("name", Json::Str(name.into()))]),
+        )])
+    };
+    let script: Vec<RestRequest> = vec![
+        RestRequest::new(HttpMethod::Post, format!("/v3/{pid}/volumes"))
+            .auth_token(&s.admin)
+            .json(volume("v")),
+        RestRequest::new(HttpMethod::Get, format!("/v3/{pid}/volumes/1")).auth_token(&s.admin),
+        RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/1")).auth_token(&s.carol),
+        RestRequest::new(HttpMethod::Put, format!("/v3/{pid}/volumes/1"))
+            .auth_token(&s.admin)
+            .json(volume("v2")),
+        RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/1")).auth_token(&s.admin),
+        RestRequest::new(HttpMethod::Delete, format!("/v3/{pid}/volumes/999")).auth_token(&s.admin),
+    ];
+    for req in &script {
+        s.monitor.process(req);
+    }
+    let records = recorder.records();
+    assert_eq!(
+        reinterpret::reinterpret(s.monitor.contracts(), &records),
+        script.len()
+    );
+
+    // The same holds across every branch of the judge.
+    let (records, _) = recorded_session();
+    let contracts = cinder_monitor(PrivateCloud::my_project()).unwrap();
+    assert!(reinterpret::reinterpret(contracts.contracts(), &records) > 0);
 }
 
 #[test]

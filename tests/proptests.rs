@@ -13,6 +13,9 @@ use cm_ocl::{
 use cm_rest::{parse_json, Json, UriTemplate};
 use proptest::prelude::*;
 
+#[path = "support/reinterpret.rs"]
+mod reinterpret;
+
 // ---------- strategies -------------------------------------------------
 
 /// Identifiers that are not keywords of the OCL subset.
@@ -627,21 +630,25 @@ proptest! {
 
     /// Differential oracle for the compile pipeline: on arbitrary request
     /// scripts against the extended Cinder scenario (volume + snapshot
-    /// state machines), a monitor evaluating the interned compiled
-    /// programs and one tree-walking the contract ASTs must produce
-    /// identical verdicts, exercised requirement ids, statuses, and
-    /// diagnostics at every step.
+    /// state machines), the monitor judges with the interned compiled
+    /// programs and records every step; re-evaluating each recorded
+    /// environment with the tree-walking interpreter must give the same
+    /// pre- and post-conditions, exercised requirement ids and matching
+    /// states, and explain the recorded requirements and `state:`
+    /// diagnostics.
     #[test]
     fn compiled_pipeline_matches_interpreter(
         plan in prop::collection::vec((0usize..6, any::<bool>()), 1..12),
     ) {
         use cm_cloudsim::PrivateCloud;
-        use cm_core::{cinder_monitor_extended, CloudMonitor, EvalStrategy, Mode};
+        use cm_audit::{AuditRecorder, MemoryRecorder};
+        use cm_core::{cinder_monitor_extended, CloudMonitor, Mode};
+        use std::sync::Arc;
         use cm_model::HttpMethod;
         use cm_rest::RestRequest;
 
         fn fixture(
-            strategy: EvalStrategy,
+            recorder: Arc<MemoryRecorder>,
         ) -> (CloudMonitor<PrivateCloud>, u64, u64, u64, String, String) {
             let cloud = PrivateCloud::my_project();
             let pid = cloud.project_id();
@@ -656,7 +663,7 @@ proptest! {
             let mut monitor = cinder_monitor_extended(cloud)
                 .unwrap()
                 .mode(Mode::Observe)
-                .eval_strategy(strategy);
+                .audit_recorder(recorder as Arc<dyn AuditRecorder>);
             monitor.authenticate("alice", "alice-pw").unwrap();
             (monitor, pid, vid, sid, admin, carol)
         }
@@ -691,23 +698,15 @@ proptest! {
             base.auth_token(token)
         }
 
-        let (compiled, pid, vid, sid, admin, carol) = fixture(EvalStrategy::Compiled);
-        let (interp, _, _, _, _, _) = fixture(EvalStrategy::Interpreter);
+        let recorder = Arc::new(MemoryRecorder::new());
+        let (monitor, pid, vid, sid, admin, carol) = fixture(Arc::clone(&recorder));
         for (op, as_admin) in plan {
             let token = if as_admin { &admin } else { &carol };
-            let req = request(op, pid, vid, sid, token);
-            let a = compiled.process(&req);
-            let b = interp.process(&req);
-            prop_assert_eq!(a.verdict, b.verdict, "verdict diverged on {:?}", &req);
-            prop_assert_eq!(
-                &a.requirements, &b.requirements,
-                "requirements diverged on {:?}", &req
-            );
-            prop_assert_eq!(a.response.status, b.response.status);
-            let da = compiled.log().last().unwrap().diagnostics.clone();
-            let db = interp.log().last().unwrap().diagnostics.clone();
-            prop_assert_eq!(da, db, "diagnostics diverged on {:?}", &req);
+            monitor.process(&request(op, pid, vid, sid, token));
         }
+        let records = recorder.records();
+        let checked = reinterpret::reinterpret(monitor.contracts(), &records);
+        prop_assert_eq!(checked, records.len(), "every scripted request is contract-checked");
     }
 }
 
