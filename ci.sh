@@ -8,9 +8,9 @@
 # battery runs (fmt clippy build test docs features smoke). The legacy
 # flag spellings remain as aliases for core-plus-stage:
 #
-#   ./ci.sh --stress     core + concurrency soak battery (debug: shard
-#                        invariants live via debug_assert!; release: the
-#                        timing-sensitive profile the servers run in)
+#   ./ci.sh --stress     core + concurrency soak battery (debug: project
+#                        lock invariants live via debug_assert!; release:
+#                        the timing-sensitive profile the servers run in)
 #   ./ci.sh --chaos      core + transport-chaos battery (seeded fault
 #                        injection, breaker-flap ledger, recovery smoke)
 #   ./ci.sh --campaign   core + the kill-matrix campaign: full mutant
@@ -34,7 +34,8 @@ stages (run exactly what is named, in the order given, deduplicated):
   test       cargo test, whole workspace and perfbench
   docs       cargo doc, warnings denied
   features   feature-gated targets compile (proptest suite, criterion benches)
-  smoke      bench binaries in --smoke mode (writes BENCH_*.smoke.json)
+  smoke      bench binaries in --smoke mode (writes BENCH_*.smoke.json),
+             short perfbench runs of both workloads over serve's topology
   stress     concurrency soak battery (debug + release + determinism property)
   transport  reactor lifecycle/pipelining battery, speculative-read parity,
              proxy smoke with response parity across both engines
@@ -130,10 +131,20 @@ stage_smoke() {
 
   step "bench smoke: proxy_throughput (response parity over live TCP, smoke artifact)"
   cargo run --offline --release -p cm-bench --bin proxy_throughput -q -- --smoke
+
+  # The only check that drives serve's composition over two TCP hops
+  # with every status verified: a project-lock deadlock hangs it, a
+  # changed status or a lost audit record exits nonzero.
+  cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+  local workload
+  for workload in read_hot write_audit; do
+    step "bench smoke: perfbench $workload (serve's topology, every status checked)"
+    perfbench/target/release/cm-perfbench --workload "$workload" --seed 1 --seconds 6 --trace 0
+  done
 }
 
 stage_stress() {
-  step "stress: concurrency soak (debug, shard debug_asserts active)"
+  step "stress: concurrency soak (debug, debug_assert: a forwarded non-safe request holds the exclusive guard)"
   cargo test --offline --test concurrent_monitor -q
 
   step "stress: concurrency soak (release)"

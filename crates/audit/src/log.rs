@@ -8,18 +8,30 @@
 //! counts it — durability pressure must not stall the serve path). A
 //! dedicated writer thread drains the channel in groups of up to
 //! `group_max`, serializes each record into one buffer of CRC frames,
-//! issues **one `write` + one `fsync`** for the whole group, and only
-//! then advances the shared `committed` watermark and publishes the
-//! group to the in-memory tail ring. On crash the log therefore loses
-//! at most the channel contents plus one partially-written group — and
-//! the torn group is truncated, never misparsed (see `recover`).
+//! and issues **one `write`** for the whole group. It then hands the
+//! group to a syncer thread and goes back to draining, so an `fsync`
+//! that stalls (seconds are not rare on a shared disk) does not stop
+//! the channel from emptying. The syncer issues **one
+//! `fsync`** for every group written since its last one and only then
+//! advances the shared `committed` watermark, publishes the groups to
+//! the in-memory tail ring and acknowledges `flush()` barriers.
+//!
+//! Durability: a record is *committed* once a sync that started after
+//! its write returned. A process kill (SIGKILL) loses only the channel
+//! contents and at most one partially-written group — every group the
+//! writer finished writing is in the page cache and survives — and the
+//! torn group is truncated, never misparsed (see `recover`). A machine
+//! crash may additionally lose the written groups no sync has covered
+//! yet; `committed` and `flush()` never claim those.
 //!
 //! ## Rotation and retention
 //!
 //! When the active segment exceeds `segment_max_bytes` the writer
-//! rotates: new segment named by its first record offset, directory
-//! fsync, checkpoint update, and deletion of the oldest segments beyond
-//! `max_segments`. Offsets are *commit order* across the whole log —
+//! rotates: new segment named by its first record offset, and deletion
+//! of the oldest segments beyond `max_segments`. The syncer's next round
+//! syncs the sealed segment and the new header, then updates the
+//! checkpoint (whose directory fsync also makes the new segment's entry
+//! durable). Offsets are *commit order* across the whole log —
 //! retention deletes files but never renumbers.
 
 use crate::record::{encode_frame, encode_record, AuditRecord};
@@ -96,7 +108,8 @@ enum Cmd {
     Flush(mpsc::SyncSender<()>),
 }
 
-/// State shared between appenders, the writer, and streaming readers.
+/// State shared between appenders, the writer, the syncer, and
+/// streaming readers.
 #[derive(Debug)]
 struct Shared {
     /// Next offset to be committed == total committed records.
@@ -111,7 +124,41 @@ struct Shared {
     tail: Mutex<VecDeque<(u64, Json)>>,
     /// Signalled after every commit.
     commit_signal: Condvar,
+    /// Groups written but not yet committed, from writer to syncer.
+    pending: Mutex<Pending>,
+    /// Signalled when the writer hands over a group or stops.
+    pending_signal: Condvar,
     metrics: Option<Arc<MetricsRegistry>>,
+    /// Test hook: a stalled disk. Every sync that starts before this
+    /// instant returns no earlier than it.
+    #[cfg(test)]
+    stall_syncs_until: Mutex<Option<Instant>>,
+}
+
+/// Groups the writer has written and the syncer has yet to commit.
+#[derive(Debug, Default)]
+struct Pending {
+    /// One past the offset of the last record written.
+    end: u64,
+    /// Groups written.
+    groups: u64,
+    /// Summaries of the records written, the newest `tail_capacity`
+    /// only: the tail ring would evict older ones on publish anyway.
+    summaries: VecDeque<(u64, Json)>,
+    /// Segments written that need a sync before the records in them
+    /// count as committed (none under a relaxed or fsync-less commit;
+    /// always the sealed and the new segment of a rotation).
+    files: Vec<Arc<fs::File>>,
+    /// A rotation happened: after the sync, checkpoint this many
+    /// records as durable (which also syncs the new segment's
+    /// directory entry).
+    checkpoint: Option<u64>,
+    /// `flush()` barriers to acknowledge once the groups commit.
+    acks: Vec<mpsc::SyncSender<()>>,
+    /// When the oldest group was handed over (commit latency).
+    since: Option<Instant>,
+    /// The writer has stopped: commit what is left and exit.
+    closed: bool,
 }
 
 /// Handle to a durable audit log. Cloneable via `Arc`; dropping the
@@ -175,12 +222,26 @@ impl AuditLog {
             write_errors: AtomicU64::new(0),
             tail: Mutex::new(VecDeque::with_capacity(options.tail_capacity)),
             commit_signal: Condvar::new(),
+            pending: Mutex::new(Pending {
+                end: next_offset,
+                ..Pending::default()
+            }),
+            pending_signal: Condvar::new(),
             metrics,
+            #[cfg(test)]
+            stall_syncs_until: Mutex::new(None),
         });
         let (tx, rx) = mpsc::sync_channel(options.channel_capacity.max(1));
+        let syncer_shared = Arc::clone(&shared);
+        let tail_capacity = options.tail_capacity.max(1);
+        let syncer_dir = dir.to_path_buf();
+        let syncer = thread::Builder::new()
+            .name("cm-audit-syncer".into())
+            .spawn(move || run_syncer(&syncer_shared, &syncer_dir, tail_capacity))
+            .map_err(|e| io::Error::other(format!("spawn audit syncer: {e}")))?;
         let writer_state = Writer {
             dir: dir.to_path_buf(),
-            active,
+            active: Arc::new(active),
             active_len,
             segments,
             next_offset,
@@ -189,8 +250,13 @@ impl AuditLog {
         };
         let writer = thread::Builder::new()
             .name("cm-audit-writer".into())
-            .spawn(move || writer_state.run(rx))
-            .map_err(|e| io::Error::other(format!("spawn audit writer: {e}")))?;
+            .spawn(move || writer_state.run(rx, syncer))
+            .map_err(|e| {
+                // Without a writer the syncer would wait forever: stop it.
+                plock(&shared.pending).closed = true;
+                shared.pending_signal.notify_all();
+                io::Error::other(format!("spawn audit writer: {e}"))
+            })?;
 
         Ok((
             AuditLog {
@@ -296,16 +362,18 @@ impl Drop for AuditLog {
 /// The writer thread's exclusive state.
 struct Writer {
     dir: PathBuf,
-    active: fs::File,
+    /// Shared with the syncer, which syncs the groups written to it.
+    active: Arc<fs::File>,
     active_len: u64,
     segments: Vec<SegmentInfo>,
+    /// Offset of the next record to write.
     next_offset: u64,
     options: AuditLogOptions,
     shared: Arc<Shared>,
 }
 
 impl Writer {
-    fn run(mut self, rx: Receiver<Cmd>) {
+    fn run(mut self, rx: Receiver<Cmd>, syncer: thread::JoinHandle<()>) {
         let mut batch: Vec<Box<AuditRecord>> = Vec::with_capacity(self.options.group_max);
         let mut acks: Vec<mpsc::SyncSender<()>> = Vec::new();
         loop {
@@ -328,23 +396,24 @@ impl Writer {
                     Err(_) => break,
                 }
             }
-            self.commit_group(&batch);
-            for ack in acks.drain(..) {
-                let _ = ack.send(());
-            }
+            self.write_group(&batch, &mut acks);
         }
-        // Channel closed: final checkpoint for a clean shutdown.
+        // Channel closed: let the syncer commit what is pending, then
+        // write the final checkpoint for a clean shutdown.
+        plock(&self.shared.pending).closed = true;
+        self.shared.pending_signal.notify_all();
+        let _ = syncer.join();
         let _ = self.active.sync_data();
         let _ = write_checkpoint(&self.dir, self.next_offset);
     }
 
-    /// One group commit: serialize, single write, single fsync, then
-    /// publish.
-    fn commit_group(&mut self, batch: &[Box<AuditRecord>]) {
+    /// Write one group (serialize, single write) and hand it, with the
+    /// `flush()` barriers that arrived with it, to the syncer.
+    fn write_group(&mut self, batch: &[Box<AuditRecord>], acks: &mut Vec<mpsc::SyncSender<()>>) {
         if batch.is_empty() {
+            self.hand_over(&[], acks, false);
             return;
         }
-        let started = Instant::now();
         let mut buf = Vec::with_capacity(batch.len() * 256);
         for record in batch {
             encode_frame(&encode_record(record), &mut buf);
@@ -363,25 +432,12 @@ impl Writer {
                 metrics.audit.increment("relaxed_commits");
             }
         }
-        let written = self
-            .active
-            .write_all(&buf)
-            .and_then(|()| {
-                if self.options.fsync && !relaxed {
-                    self.active.sync_data()
-                } else {
-                    Ok(())
-                }
-            })
-            .is_ok();
-        if !written {
+        if (&*self.active).write_all(&buf).is_err() {
             // The group may be torn on disk; recovery will truncate
             // it. Surface the failure and carry on — the monitor's
             // serve path must survive a full disk.
-            self.shared.write_errors.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &self.shared.metrics {
-                metrics.audit.increment("write_errors");
-            }
+            count_write_error(&self.shared);
+            self.hand_over(&[], acks, false);
             return;
         }
         self.active_len += buf.len() as u64;
@@ -389,53 +445,76 @@ impl Writer {
             last.records += batch.len() as u64;
             last.len = self.active_len;
         }
-
-        // Publish: watermark, tail ring, commit signal, metrics.
-        {
-            let mut tail = plock(&self.shared.tail);
-            for record in batch {
-                let offset = self.next_offset;
-                self.next_offset += 1;
-                if tail.len() == self.options.tail_capacity.max(1) {
-                    tail.pop_front();
-                }
-                tail.push_back((offset, record.summary_json(offset)));
-            }
-            self.shared
-                .committed
-                .store(self.next_offset, Ordering::Release);
-        }
-        self.shared.commit_signal.notify_all();
-        if let Some(metrics) = &self.shared.metrics {
-            metrics.audit.increment("commits");
-            metrics.audit_commit.record(started.elapsed());
-        }
+        self.hand_over(batch, acks, self.options.fsync && !relaxed);
 
         if self.active_len >= self.options.segment_max_bytes {
             if let Err(err) = self.rotate() {
-                self.shared.write_errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(metrics) = &self.shared.metrics {
-                    metrics.audit.increment("write_errors");
-                }
+                count_write_error(&self.shared);
                 let _ = err;
             }
         }
     }
 
-    /// Seal the active segment, start a new one, checkpoint, and apply
-    /// retention.
+    /// Hand the records just written (offsets from `next_offset` on) to
+    /// the syncer, which commits them after a sync of the active
+    /// segment when `sync` is set.
+    fn hand_over(
+        &mut self,
+        batch: &[Box<AuditRecord>],
+        acks: &mut Vec<mpsc::SyncSender<()>>,
+        sync: bool,
+    ) {
+        let capacity = self.options.tail_capacity.max(1);
+        // Only the newest `capacity` records can reach the ring.
+        let skip = batch.len().saturating_sub(capacity);
+        let first = self.next_offset;
+        let summaries: Vec<(u64, Json)> = (first..)
+            .zip(batch)
+            .skip(skip)
+            .map(|(offset, record)| (offset, record.summary_json(offset)))
+            .collect();
+        let mut pending = plock(&self.shared.pending);
+        for entry in summaries {
+            if pending.summaries.len() == capacity {
+                pending.summaries.pop_front();
+            }
+            pending.summaries.push_back(entry);
+        }
+        self.next_offset += batch.len() as u64;
+        pending.end = self.next_offset;
+        if !batch.is_empty() {
+            pending.groups += 1;
+        }
+        if sync {
+            pending.sync(&self.active);
+        }
+        pending.acks.append(acks);
+        pending.since.get_or_insert_with(Instant::now);
+        drop(pending);
+        self.shared.pending_signal.notify_one();
+    }
+
+    /// Seal the active segment, start a new one, and apply retention.
+    /// The syncer makes the sealed segment and the new one's header
+    /// durable and then writes the checkpoint, so a stalled disk does
+    /// not hold up rotation either.
     fn rotate(&mut self) -> io::Result<()> {
-        self.active.sync_data()?;
         let path = self.dir.join(segment_file_name(self.next_offset));
         let header = segment_header(self.next_offset);
         let mut file = fs::File::create(&path)?;
         file.write_all(&header)?;
-        if self.options.fsync {
-            file.sync_data()?;
-            sync_dir(&self.dir)?;
+        let sealed = std::mem::replace(
+            &mut self.active,
+            Arc::new(fs::OpenOptions::new().append(true).open(&path)?),
+        );
+        {
+            let mut pending = plock(&self.shared.pending);
+            pending.sync(&sealed);
+            pending.sync(&self.active);
+            pending.checkpoint = Some(self.next_offset);
+            pending.since.get_or_insert_with(Instant::now);
         }
-        write_checkpoint(&self.dir, self.next_offset)?;
-        self.active = fs::OpenOptions::new().append(true).open(&path)?;
+        self.shared.pending_signal.notify_one();
         self.active_len = header.len() as u64;
         self.segments.push(SegmentInfo {
             path,
@@ -470,6 +549,94 @@ impl Writer {
             }
         }
         Ok(())
+    }
+}
+
+/// The syncer thread: sync every segment the writer has written since
+/// the last round, then commit the round's records — watermark, tail
+/// ring, commit signal, `flush()` acks, metrics. One sync covers every
+/// group written before it started, so after a stall the syncer catches
+/// up in one round however many groups the writer wrote meanwhile.
+fn run_syncer(shared: &Shared, dir: &Path, tail_capacity: usize) {
+    loop {
+        let round = {
+            let mut pending = plock(&shared.pending);
+            while pending.since.is_none() && !pending.closed {
+                pending = shared
+                    .pending_signal
+                    .wait(pending)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            if pending.since.is_none() {
+                return;
+            }
+            let (end, closed) = (pending.end, pending.closed);
+            std::mem::replace(
+                &mut *pending,
+                Pending {
+                    end,
+                    closed,
+                    ..Pending::default()
+                },
+            )
+        };
+        for file in &round.files {
+            #[cfg(test)]
+            if let Some(until) = *plock(&shared.stall_syncs_until) {
+                thread::sleep(until.saturating_duration_since(Instant::now()));
+            }
+            if file.sync_data().is_err() {
+                // The records are written, in order, and later groups
+                // follow them in the file: they are published like a
+                // relaxed commit's, and the failed sync is surfaced.
+                count_write_error(shared);
+            }
+        }
+        if let Some(committed) = round.checkpoint {
+            if write_checkpoint(dir, committed).is_err() {
+                count_write_error(shared);
+            }
+        }
+        {
+            let mut tail = plock(&shared.tail);
+            for entry in round.summaries {
+                if tail.len() == tail_capacity {
+                    tail.pop_front();
+                }
+                tail.push_back(entry);
+            }
+            shared.committed.store(round.end, Ordering::Release);
+        }
+        shared.commit_signal.notify_all();
+        for ack in round.acks {
+            let _ = ack.send(());
+        }
+        if let (Some(metrics), Some(since)) = (&shared.metrics, round.since) {
+            if round.groups > 0 {
+                metrics
+                    .audit
+                    .counter("commits")
+                    .fetch_add(round.groups, Ordering::Relaxed);
+                metrics.audit_commit.record(since.elapsed());
+            }
+        }
+    }
+}
+
+impl Pending {
+    /// Have the next round sync `file`.
+    fn sync(&mut self, file: &Arc<fs::File>) {
+        if !self.files.iter().any(|f| Arc::ptr_eq(f, file)) {
+            self.files.push(Arc::clone(file));
+        }
+    }
+}
+
+/// Count a failed write or sync under `audit.write_errors`.
+fn count_write_error(shared: &Shared) {
+    shared.write_errors.fetch_add(1, Ordering::Relaxed);
+    if let Some(metrics) = &shared.metrics {
+        metrics.audit.increment("write_errors");
     }
 }
 
@@ -800,6 +967,57 @@ mod tests {
         let (records, _) = recover(&dir).unwrap();
         assert_eq!(records.len(), 40);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A disk whose syncs stall for 1.5 s while records arrive at 6k/s,
+    /// once with the default 32 MiB segments and once with segments so
+    /// small that the writer rotates dozens of times during the stall:
+    /// the writer keeps draining the channel into the page cache, so
+    /// nothing is dropped, nothing counts as committed before a sync
+    /// that covers it returns, and the log recovers whole.
+    #[test]
+    fn stalled_sync_neither_drops_records_nor_commits_early() {
+        const RATE: u64 = 6_000;
+        const BURST: u64 = 60; // every 10 ms
+        for segment_max_bytes in [AuditLogOptions::default().segment_max_bytes, 64 * 1024] {
+            let dir = tmp(&format!("stalled-sync-{segment_max_bytes}"));
+            let options = AuditLogOptions {
+                segment_max_bytes,
+                max_segments: 1024,
+                ..AuditLogOptions::default()
+            };
+            let (log, _) = AuditLog::open(&dir, options, None).unwrap();
+            let started = Instant::now();
+            *plock(&log.shared.stall_syncs_until) = Some(started + Duration::from_millis(1500));
+            let total = RATE * 5 / 2;
+            let mut sent = 0;
+            let mut committed_mid_stall = None;
+            while sent < total {
+                for _ in 0..BURST {
+                    log.append(record(sent));
+                    sent += 1;
+                }
+                if committed_mid_stall.is_none() && started.elapsed() >= Duration::from_millis(500)
+                {
+                    committed_mid_stall = Some(log.committed());
+                }
+                let due = started + Duration::from_millis(sent * 1000 / RATE);
+                thread::sleep(due.saturating_duration_since(Instant::now()));
+            }
+            assert_eq!(log.dropped(), 0, "the stall backed up the channel");
+            assert_eq!(
+                committed_mid_stall,
+                Some(0),
+                "records counted as committed before their sync returned"
+            );
+            log.flush().unwrap();
+            assert_eq!(log.committed(), total);
+            drop(log);
+            let (records, recovered) = recover(&dir).unwrap();
+            assert_eq!(records.len() as u64, total);
+            assert_eq!(recovered.report.lost_committed, 0);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -39,18 +39,20 @@ use cm_rbac::SecurityRequirementsTable;
 use cm_rest::{
     Json, Resolution, RestRequest, RestResponse, RouteTable, SharedRestService, StatusCode,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Lock a shard mutex, recovering from poisoning: one panicking request
 /// (e.g. a handler bug surfaced mid-`process`) must not wedge every
 /// later request that hashes to the same shard. The shard state a
-/// panicked request leaves behind is append-only records plus reusable
-/// scratch that every evaluation re-initialises, so recovery is safe.
+/// panicked request leaves behind is append-only records and replicas
+/// that a stale mark or the next probe pass repairs, so recovery is
+/// safe.
 fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -58,11 +60,21 @@ fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Events retained by the default ring-buffer sink.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
-/// Log shards. Requests for the same project always land on the same
-/// shard (serializing the snapshot→forward→snapshot protocol per
-/// resource); requests for different projects almost always land on
-/// different shards and proceed in parallel.
+/// Project shards. Requests for the same project always land on the
+/// same shard, whose protocol lock isolates the project's snapshots
+/// from its mutations; requests for different projects almost always
+/// land on different shards and proceed in parallel.
 const MONITOR_SHARDS: usize = 16;
+
+thread_local! {
+    /// The evaluation scratch (interned locals stack + memo slots) of
+    /// the request this thread is processing, reused request after
+    /// request so steady-state contract checking does not reallocate.
+    /// `process` takes it out and puts it back, so a monitor nested in
+    /// the cloud of another on the same thread starts from an empty one
+    /// instead of aliasing it.
+    static EVAL_SCRATCH: Cell<EvalScratch> = Cell::new(EvalScratch::default());
+}
 
 /// How much step ≥ 2 of the brownout ladder stretches the scheduled
 /// anti-entropy cadence: `anti_entropy_every` replica-served requests
@@ -218,11 +230,13 @@ impl DegradedPolicy {
 /// One line of the monitor's log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorRecord {
-    /// Global sequence number, assigned when the request is admitted to
-    /// its log shard (i.e. at snapshot time, while the shard lock is
-    /// held) — not when the record is appended. Within a shard, seq order
-    /// is processing order, so sorting the merged log by `seq` replays
-    /// causally.
+    /// Global sequence number, drawn while the request holds its
+    /// project lock in the mode under which it touches the cloud (a
+    /// forwarded mutation once it holds the exclusive guard, any other
+    /// request under its shared guard) — not when the record is
+    /// appended. Sorting the merged log by `seq` is therefore a serial
+    /// order of each project's requests that reproduces what every one
+    /// of them observed.
     pub seq: u64,
     /// Request method.
     pub method: HttpMethod,
@@ -413,8 +427,8 @@ impl BrownoutController {
 /// then shared: [`CloudMonitor::process`] takes `&self`, so an
 /// `Arc<CloudMonitor<_>>` serves many client threads concurrently. The
 /// read side (routes, contracts, compiled OCL, tokens) is immutable
-/// after setup; the mutable side (the log) is sharded by resource, and
-/// coverage/metrics/events are atomics underneath.
+/// after setup; the mutable side (the project lock, the log, the
+/// replicas) is sharded by project.
 #[derive(Debug)]
 pub struct CloudMonitor<S: SharedRestService> {
     cloud: S,
@@ -453,11 +467,9 @@ pub struct CloudMonitor<S: SharedRestService> {
     /// Additional probe tokens per project, from
     /// [`CloudMonitor::authenticate_scoped`].
     project_tokens: HashMap<u64, String>,
-    /// Per-resource log shards; a request locks exactly one for the whole
-    /// snapshot→forward→snapshot protocol, giving per-resource atomicity.
-    /// Each shard also owns the reusable evaluation scratch for requests
-    /// processed under its lock.
-    log_shards: Box<[Mutex<LogShard>]>,
+    /// Per-project shards; see [`Shard`] for the protocol lock a
+    /// request holds on its shard.
+    shards: Box<[Shard]>,
     /// Global sequence counter; see [`MonitorRecord::seq`].
     seq: AtomicU64,
     coverage: CoverageTracker,
@@ -474,26 +486,120 @@ pub struct CloudMonitor<S: SharedRestService> {
     brownout: Option<Arc<BrownoutSignal>>,
 }
 
-/// Per-shard mutable state: the log records plus the reusable evaluation
-/// scratch (interned locals stack + memo slots). The scratch lives with
-/// the shard so steady-state contract checking reuses its allocations
-/// request after request instead of reallocating per call.
+/// One shard's protocol lock and state. The paper's Figure 2 protocol
+/// (pre-snapshot → forward → post-snapshot) needs one guarantee: no
+/// *mutation* of the project runs between a request's two snapshots.
+/// Reads cannot disturb each other, so they share the shard:
+///
+/// * a non-safe request holds the `mutator` lane for its whole
+///   protocol, so at most one mutation per shard is in flight;
+/// * every request observes the cloud under a shared `isolation` guard,
+///   and a non-safe request trades it for the exclusive guard
+///   immediately before its request leaves for the cloud
+///   ([`ProtocolLock::forward`]), keeping it through its post-snapshot.
+///
+/// Lock order: `mutator` → `isolation` → the cloud's own locks. The
+/// records and replicas have short-held mutexes of their own.
 #[derive(Debug, Default)]
-struct LogShard {
-    records: Vec<MonitorRecord>,
-    scratch: EvalScratch,
+struct Shard {
+    mutator: Mutex<()>,
+    isolation: RwLock<()>,
+    /// The shard's log, appended after the protocol guards are dropped.
+    records: Mutex<Vec<MonitorRecord>>,
     /// Shadow replicas for the projects this shard serves
-    /// ([`SnapshotPolicy::Replica`] only). Living under the shard lock
-    /// gives the replica the same per-project serialization guarantee
-    /// the snapshot protocol already relies on.
-    replicas: HashMap<u64, ProjectReplica>,
+    /// ([`SnapshotPolicy::Replica`] only). Replica bookkeeping mutates
+    /// per-project state even on a GET, so under that policy every
+    /// request holds the lane and the exclusive guard, and this mutex
+    /// is never contended.
+    replicas: Mutex<HashMap<u64, ProjectReplica>>,
 }
 
-/// Freshly allocated, empty log shards.
-fn new_log_shards() -> Box<[Mutex<LogShard>]> {
-    (0..MONITOR_SHARDS)
-        .map(|_| Mutex::new(LogShard::default()))
-        .collect()
+/// The protocol guards one request holds on its [`Shard`], and the
+/// sequence number it drew under them.
+///
+/// `seq` is drawn while the request holds the lock mode under which it
+/// touches the cloud: at admission for shared and Replica requests, at
+/// the exclusive upgrade for a forwarded mutation, and at the end of
+/// the protocol for a non-safe request that never left the monitor.
+/// Mutations draw theirs under the exclusive guard and observers under
+/// a shared one, so sorting the log by `seq` is a valid serial order of
+/// each project's cloud effects.
+struct ProtocolLock<'a> {
+    isolation: &'a RwLock<()>,
+    shared: Option<RwLockReadGuard<'a, ()>>,
+    exclusive: Option<RwLockWriteGuard<'a, ()>>,
+    /// Held by non-safe (and all Replica) requests; released last.
+    _lane: Option<MutexGuard<'a, ()>>,
+    counter: &'a AtomicU64,
+    seq: Option<u64>,
+}
+
+impl<'a> ProtocolLock<'a> {
+    /// Admit `method` to `shard`. Under Replica every request takes the
+    /// lane and the exclusive guard at once.
+    fn admit(shard: &'a Shard, counter: &'a AtomicU64, method: HttpMethod, replica: bool) -> Self {
+        let safe = method.is_safe() && !replica;
+        let lane = (!safe).then(|| plock(&shard.mutator));
+        let mut lock = ProtocolLock {
+            isolation: &shard.isolation,
+            shared: None,
+            exclusive: None,
+            _lane: lane,
+            counter,
+            seq: None,
+        };
+        if replica {
+            lock.exclusive = Some(write_lock(&shard.isolation));
+        } else {
+            lock.shared = Some(read_lock(&shard.isolation));
+        }
+        if safe || replica {
+            lock.seq();
+        }
+        lock
+    }
+
+    /// Send `request` to the cloud through `send`. Every forward site
+    /// goes through here: a non-safe request first trades its shared
+    /// guard for the exclusive one. The lane excludes every other
+    /// mutator, so only reads can slip in between the release and the
+    /// exclusive guard, and reads do not change the cloud: the
+    /// pre-snapshot stays valid. (std's `RwLock` prefers a waiting
+    /// writer, so those reads cannot starve the upgrade.)
+    fn forward<T>(&mut self, request: &RestRequest, send: impl FnOnce() -> T) -> T {
+        if !request.method.is_safe() && self.shared.take().is_some() {
+            self.exclusive = Some(write_lock(self.isolation));
+            self.seq();
+        }
+        debug_assert!(
+            request.method.is_safe() || self.exclusive.is_some(),
+            "a forwarded non-safe request holds the exclusive guard"
+        );
+        send()
+    }
+
+    /// Whether the exclusive guard is held.
+    fn is_exclusive(&self) -> bool {
+        self.exclusive.is_some()
+    }
+
+    /// The request's sequence number, drawn now if it has none yet.
+    fn seq(&mut self) -> u64 {
+        let counter = self.counter;
+        *self
+            .seq
+            .get_or_insert_with(|| counter.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// Take a shard's shared guard, recovering from poisoning like [`plock`].
+fn read_lock(lock: &RwLock<()>) -> RwLockReadGuard<'_, ()> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Take a shard's exclusive guard, recovering from poisoning like [`plock`].
+fn write_lock(lock: &RwLock<()>) -> RwLockWriteGuard<'_, ()> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<S: SharedRestService> CloudMonitor<S> {
@@ -557,7 +663,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
             monitor_token: String::new(),
             monitor_project: None,
             project_tokens: HashMap::new(),
-            log_shards: new_log_shards(),
+            shards: (0..MONITOR_SHARDS).map(|_| Shard::default()).collect(),
             seq: AtomicU64::new(0),
             coverage,
             metrics,
@@ -833,9 +939,9 @@ impl<S: SharedRestService> CloudMonitor<S> {
     #[must_use]
     pub fn log(&self) -> Vec<MonitorRecord> {
         let mut all: Vec<MonitorRecord> = self
-            .log_shards
+            .shards
             .iter()
-            .flat_map(|shard| plock(shard).records.clone())
+            .flat_map(|shard| plock(&shard.records).clone())
             .collect();
         all.sort_by_key(|r| r.seq);
         all
@@ -865,46 +971,57 @@ impl<S: SharedRestService> CloudMonitor<S> {
         &self.routes
     }
 
-    /// The log shard responsible for `path`. Modelled paths
+    /// The shard responsible for `path`. Modelled paths
     /// (`/v3/{project_id}/…`) shard by project id, so all requests
-    /// touching one project's resources serialize on one lock; anything
-    /// else (identity, unmodelled paths) shards by path hash.
+    /// touching one project's resources share one protocol lock;
+    /// anything else (identity, unmodelled paths) shards by path hash.
     fn shard_index(&self, path: &str) -> usize {
         let key = path_project(path).unwrap_or_else(|| {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
             path.hash(&mut hasher);
             hasher.finish()
         });
-        (key as usize) % self.log_shards.len()
+        (key as usize) % self.shards.len()
     }
 
     /// Process one request through the Figure 2 workflow.
     ///
     /// Takes `&self`: many threads may call this concurrently on a shared
-    /// monitor. The request's resource shard is locked for the whole
-    /// pre-snapshot → forward → post-snapshot protocol, so the two
-    /// snapshots of one request never interleave with another request for
-    /// the same resource (shard-local snapshot isolation); requests for
-    /// different resources run in parallel.
+    /// monitor. The request holds its project's protocol lock across
+    /// the pre-snapshot → forward → post-snapshot exchange (DESIGN.md
+    /// §4d): safe requests (GET) share the project and run
+    /// concurrently, while a mutation's forward and post-snapshot run
+    /// alone on it, so no mutation of the project ever lands between one
+    /// request's two snapshots. Requests for different projects run in
+    /// parallel. Audit, metrics, events and the log append happen after
+    /// the protocol guards are dropped.
     pub fn process(&self, request: &RestRequest) -> MonitorOutcome {
         let started = Instant::now();
-        let shard = &self.log_shards[self.shard_index(&request.path)];
-        let mut shard = plock(shard);
-        // The global sequence number is taken at admission (snapshot
-        // time), under the shard lock — not at log-append time — so that
-        // sorting the merged log by seq replays per-resource causal order.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let shard = &self.shards[self.shard_index(&request.path)];
         let mut obs = ObsScratch {
             audit: self.audit.is_some(),
             ..ObsScratch::default()
         };
-        let LogShard {
-            records,
-            scratch,
-            replicas,
-        } = &mut *shard;
-        let (outcome, trigger, diagnostics) =
-            self.process_inner(request, &mut obs, scratch, replicas);
+        let replica = self.snapshot_policy == SnapshotPolicy::Replica;
+        let (outcome, trigger, diagnostics, seq, drift_seq) = {
+            let mut lock = ProtocolLock::admit(shard, &self.seq, request.method, replica);
+            // Only Replica requests (which hold the lane and the
+            // exclusive guard) touch the replica map; under the other
+            // policies no replica ever exists.
+            let mut replica_guard = replica.then(|| plock(&shard.replicas));
+            let mut no_replicas = HashMap::new();
+            let replicas = replica_guard.as_deref_mut().unwrap_or(&mut no_replicas);
+            let mut scratch = EVAL_SCRATCH.take();
+            let (outcome, trigger, diagnostics) =
+                self.process_inner(request, &mut obs, &mut lock, &mut scratch, replicas);
+            EVAL_SCRATCH.set(scratch);
+            let seq = lock.seq();
+            let drift_seq = obs
+                .drift
+                .as_ref()
+                .map(|_| self.seq.fetch_add(1, Ordering::Relaxed));
+            (outcome, trigger, diagnostics, seq, drift_seq)
+        };
         obs.timings.total = started.elapsed();
         if let Some(recorder) = &self.audit {
             recorder.record(self.audit_record(
@@ -942,17 +1059,12 @@ impl<S: SharedRestService> CloudMonitor<S> {
             diagnostics,
         };
         self.coverage.record(&record);
-        debug_assert!(
-            records.last().is_none_or(|prev| prev.seq < seq),
-            "per-shard log must stay seq-ordered"
-        );
-        records.push(record);
+        plock(&shard.records).push(record);
         // An anti-entropy pass piggybacked on this request found the
         // cloud diverged from the replica: emit the detection as its own
         // record/event — it is about the *cloud*, not this request,
         // whose own verdict stands above.
-        if let Some(drift) = obs.drift.take() {
-            let drift_seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        if let (Some(drift), Some(drift_seq)) = (obs.drift.take(), drift_seq) {
             let diagnostics = format!("replica drift: {}", drift.details);
             if let Some(recorder) = &self.audit {
                 recorder.record(AuditRecord {
@@ -981,7 +1093,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
             };
             self.metrics.observe(&event);
             self.events.emit(event);
-            records.push(MonitorRecord {
+            plock(&shard.records).push(MonitorRecord {
                 seq: drift_seq,
                 method: request.method,
                 path: request.path.clone(),
@@ -1126,6 +1238,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         &self,
         request: &RestRequest,
         obs: &mut ObsScratch,
+        lock: &mut ProtocolLock<'_>,
         trigger: &Trigger,
         contract: &cm_contracts::MethodContract,
         faults: &[crate::probe::ProbeFault],
@@ -1160,7 +1273,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
             faults: faults.iter().map(ToString::to_string).collect(),
         });
         let (response, diagnostics) = if forward_unchecked {
-            let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
+            let response = self.send(lock, request, &mut obs.timings);
             obs.forwarded = true;
             (
                 response,
@@ -1227,9 +1340,10 @@ impl<S: SharedRestService> CloudMonitor<S> {
         &self,
         request: &RestRequest,
         obs: &mut ObsScratch,
+        lock: &mut ProtocolLock<'_>,
         replicas: &mut HashMap<u64, ProjectReplica>,
     ) -> RestResponse {
-        let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
+        let response = self.send(lock, request, &mut obs.timings);
         if request.method != HttpMethod::Get && response.status.is_success() {
             if let Some(replica) =
                 path_project(&request.path).and_then(|pid| replicas.get_mut(&pid))
@@ -1242,11 +1356,24 @@ impl<S: SharedRestService> CloudMonitor<S> {
         response
     }
 
+    /// Forward `request` on its own, timing it as the forward phase.
+    fn send(
+        &self,
+        lock: &mut ProtocolLock<'_>,
+        request: &RestRequest,
+        timings: &mut PhaseTimings,
+    ) -> RestResponse {
+        lock.forward(request, || {
+            timed(&mut timings.forward, || self.cloud.call(request))
+        })
+    }
+
     #[allow(clippy::too_many_lines)]
     fn process_inner(
         &self,
         request: &RestRequest,
         obs: &mut ObsScratch,
+        lock: &mut ProtocolLock<'_>,
         scratch: &mut EvalScratch,
         replicas: &mut HashMap<u64, ProjectReplica>,
     ) -> (MonitorOutcome, Option<Trigger>, String) {
@@ -1279,7 +1406,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
                         "method not in model-derived interface".to_string(),
                     );
                 }
-                let response = self.forward_unchecked(request, obs, replicas);
+                let response = self.forward_unchecked(request, obs, lock, replicas);
                 obs.ctx = Some(ReplayContext::MethodNotAllowed {
                     enforced: false,
                     cloud_status: obs.cloud_status,
@@ -1301,7 +1428,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
             }
             Resolution::NotFound => {
                 // Unknown to the model (e.g. /identity/…): transparent proxy.
-                let response = self.forward_unchecked(request, obs, replicas);
+                let response = self.forward_unchecked(request, obs, lock, replicas);
                 obs.ctx = Some(ReplayContext::Unmodelled);
                 return (
                     MonitorOutcome {
@@ -1319,7 +1446,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         //    the read side is immutable, nothing needs cloning).
         let trigger = Trigger::new(request.method, route.trigger_resource(request.method));
         let Some(contract_idx) = self.compiled.index_for(&trigger) else {
-            let response = self.forward_unchecked(request, obs, replicas);
+            let response = self.forward_unchecked(request, obs, lock, replicas);
             obs.ctx = Some(ReplayContext::Unmodelled);
             return (
                 MonitorOutcome {
@@ -1416,7 +1543,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
                     // monitor's would.
                     replica.mark_stale();
                     self.metrics.replica.increment("stale");
-                    return self.degrade_pre(request, obs, &trigger, contract, &snap.faults);
+                    return self.degrade_pre(request, obs, lock, &trigger, contract, &snap.faults);
                 }
                 if due {
                     let drift = replica.diff(project_id, volume_id, &snap.nav);
@@ -1445,7 +1572,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
                     Err(fault) => {
                         replica.mark_stale();
                         self.metrics.replica.increment("stale");
-                        return self.degrade_pre(request, obs, &trigger, contract, &[fault]);
+                        return self.degrade_pre(request, obs, lock, &trigger, contract, &[fault]);
                     }
                 }
                 via_replica = true;
@@ -1459,9 +1586,17 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 }
             }
         } else if self.speculation_allowed() && request.method == HttpMethod::Get {
-            let (pre, response, post) = timed(&mut obs.timings.snapshot, || {
-                self.prober
-                    .snapshot_sandwich(&self.cloud, request, &target, pre_scope, post_scope)
+            let timings = &mut obs.timings;
+            let (pre, response, post) = lock.forward(request, || {
+                timed(&mut timings.snapshot, || {
+                    self.prober.snapshot_sandwich(
+                        &self.cloud,
+                        request,
+                        &target,
+                        pre_scope,
+                        post_scope,
+                    )
+                })
             });
             speculated = Some((response, post));
             pre
@@ -1475,7 +1610,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         // would attribute transport weather to the cloud's contract.
         // The degraded policy decides what to do instead.
         if pre_snapshot.is_partial() {
-            return self.degrade_pre(request, obs, &trigger, contract, &pre_snapshot.faults);
+            return self.degrade_pre(request, obs, lock, &trigger, contract, &pre_snapshot.faults);
         }
         let pre_state = pre_snapshot.nav;
         // Probe denials are only meaningful where the monitor has probe
@@ -1506,6 +1641,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
         };
         let mut live = LiveObserver {
             monitor: self,
+            lock,
             request,
             target: &target,
             contract,
@@ -1522,6 +1658,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
             judge(&case, &pre_state, &probe_errors, scratch, &mut live);
         let LiveObserver {
             obs,
+            lock,
             speculated,
             response,
             ..
@@ -1563,7 +1700,7 @@ impl<S: SharedRestService> CloudMonitor<S> {
                 RestResponse::error(StatusCode::INTERNAL_SERVER_ERROR, &diagnostics)
             }
             None => {
-                let response = timed(&mut obs.timings.forward, || self.cloud.call(request));
+                let response = self.send(lock, request, &mut obs.timings);
                 obs.forwarded = true;
                 obs.cloud_status = Some(response.status.0);
                 response
@@ -1596,8 +1733,10 @@ impl<S: SharedRestService> CloudMonitor<S> {
 /// The live side of [`judge`]: forwards the request to the cloud and
 /// observes the post-state, through the snapshot policy's probes or the
 /// shadow replica.
-struct LiveObserver<'a, S: SharedRestService> {
+struct LiveObserver<'a, 'l, S: SharedRestService> {
     monitor: &'a CloudMonitor<S>,
+    /// The request's protocol lock; every forward goes through it.
+    lock: &'a mut ProtocolLock<'l>,
     request: &'a RestRequest,
     target: &'a ProbeTarget,
     contract: &'a MethodContract,
@@ -1617,7 +1756,7 @@ struct LiveObserver<'a, S: SharedRestService> {
     response: Option<RestResponse>,
 }
 
-impl<S: SharedRestService> Observer for LiveObserver<'_, S> {
+impl<S: SharedRestService> Observer for LiveObserver<'_, '_, S> {
     type Halt = Judgement;
 
     fn forward(&mut self, pre_ok: bool) -> Result<StatusCode, Judgement> {
@@ -1640,10 +1779,13 @@ impl<S: SharedRestService> Observer for LiveObserver<'_, S> {
             response
         } else if pre_ok && !self.via_replica {
             let post_scope = self.post_scope;
-            let (response, snap) = timed(&mut self.obs.timings.forward, || {
-                monitor
-                    .prober
-                    .snapshot_after(&monitor.cloud, request, target, post_scope)
+            let timings = &mut self.obs.timings;
+            let (response, snap) = self.lock.forward(request, || {
+                timed(&mut timings.forward, || {
+                    monitor
+                        .prober
+                        .snapshot_after(&monitor.cloud, request, target, post_scope)
+                })
             });
             self.merged_post = Some(snap);
             response
@@ -1651,9 +1793,7 @@ impl<S: SharedRestService> Observer for LiveObserver<'_, S> {
             // A failed pre-condition never consults the post-state, and
             // in replica steady state the post-state is *predicted* from
             // the response: the forward travels alone.
-            timed(&mut self.obs.timings.forward, || {
-                monitor.cloud.call(request)
-            })
+            monitor.send(self.lock, request, &mut self.obs.timings)
         };
         // A *marked* transport fault means the monitor's own client
         // synthesised this response (wire failure, shed, exhausted
@@ -1728,12 +1868,16 @@ impl<S: SharedRestService> Observer for LiveObserver<'_, S> {
     }
 }
 
-impl<S: SharedRestService> LiveObserver<'_, S> {
+impl<S: SharedRestService> LiveObserver<'_, '_, S> {
     /// The post-state, normally straight from the forward's batch; a
     /// standalone round runs only in replica mode, where the steady
     /// state predicts it with zero probes.
     fn post_snapshot(&mut self) -> Snapshot {
         let monitor = self.monitor;
+        debug_assert!(
+            self.request.method.is_safe() || self.lock.is_exclusive(),
+            "a mutation's post-snapshot runs under the exclusive guard"
+        );
         let ProbeTarget {
             project_id: pid,
             volume_id: vid,
